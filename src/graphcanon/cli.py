@@ -1,9 +1,9 @@
 """Command-line surface: canonize, compare, probe embeddings, generate corpora, bench.
 
-Output is deterministic for fixed inputs and flags, regardless of --workers;
-all randomness flows through --seed. Exit codes: 0 success (isomorphic, for
-`iso`), 1 negative verdict or generic failure, 2 malformed input, 3 oracle or
-backend capacity exceeded.
+Output is deterministic for fixed inputs and flags; --workers is accepted and
+ignored, and all randomness flows through --seed. Exit codes: 0 success
+(isomorphic, for `iso`), 1 negative verdict or generic failure, 2 malformed
+input, 3 oracle or backend capacity exceeded.
 """
 
 from __future__ import annotations
@@ -245,6 +245,9 @@ def _add_graph_input(parser, two: bool = False):
     parser.add_argument("--format", choices=["cg", "graph6"], default="cg")
 
 
+WORKERS_HELP = "accepted for compatibility; has no effect on output or speed"
+
+
 def _add_method_flags(parser):
     parser.add_argument(
         "--method", choices=["separator", "rigidity", "bf"], default="separator"
@@ -252,7 +255,7 @@ def _add_method_flags(parser):
     parser.add_argument("--invariant", default="wl1", help="wl1 | wlk:<k> | bf")
     parser.add_argument("--r", type=int, default=1, help="sequence length bound")
     parser.add_argument("--check", action="store_true", help="enable oracle cross-checks")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariant", default="wl1")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--check", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("rigidity", help="exact rigidity index and witness")

@@ -24,7 +24,7 @@ class ColoredGraph:
     """Simple undirected graph on vertices 1..n with a color set per vertex.
 
     Instances are immutable and hashable; operations that "modify" a graph
-    return a new one, so graphs can be shared freely across worker threads.
+    return a new one, so graphs can be shared freely.
     """
 
     __slots__ = ("n", "edges", "colors", "_adj", "_key")
@@ -278,35 +278,34 @@ def are_isomorphic_bf(
     ):
         return None
 
+    return next(_bijections(graph, other), None)
+
+
+def _bijections(graph: ColoredGraph, other: ColoredGraph):
+    """Every color- and adjacency-preserving bijection from `graph` onto `other`
+    (same order), in lexicographic order of the image tuple.
+
+    Backtracking over vertices 1..n; an image is tried only if its degree and
+    color set match and its adjacency toward the images placed so far agrees.
+    """
     n = graph.n
     image = [0] * (n + 1)
     used: set[int] = set()
 
-    def extend(v: int) -> bool:
+    def extend(v: int):
         if v > n:
-            return True
+            yield Labeling(image[1:])
+            return
         gcol = graph.color_set(v)
         gdeg = graph.degree(v)
         for u in other.vertices:
-            if u in used:
+            if u in used or other.degree(u) != gdeg or other.color_set(u) != gcol:
                 continue
-            if other.degree(u) != gdeg or other.color_set(u) != gcol:
-                continue
-            ok = True
-            for w in range(1, v):
-                if graph.has_edge(v, w) != other.has_edge(u, image[w]):
-                    ok = False
-                    break
-            if not ok:
+            if any(graph.has_edge(v, w) != other.has_edge(u, image[w]) for w in range(1, v)):
                 continue
             image[v] = u
             used.add(u)
-            if extend(v + 1):
-                return True
+            yield from extend(v + 1)
             used.remove(u)
-            image[v] = 0
-        return False
 
-    if extend(1):
-        return Labeling(image[1:])
-    return None
+    return extend(1)

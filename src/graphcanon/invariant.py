@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 
 from .errors import BackendCapacityError
-from .graph import CanonicalCode, ColoredGraph
+from .graph import CanonicalCode, ColoredGraph, encoded_length
 from .mincode import minimum_encoding
 
 
@@ -25,11 +25,25 @@ def _renumber(signatures: dict):
     return {x: ids[s] for x, s in signatures.items()}, table
 
 
-def _partition(coloring: dict) -> frozenset:
-    classes: dict[int, set] = {}
-    for x, c in coloring.items():
-        classes.setdefault(c, set()).add(x)
-    return frozenset(frozenset(members) for members in classes.values())
+def _refine(sig: dict, step, round_cap: int | None, stats):
+    """The refinement loop shared by wl1_refine and wlk_refine.
+
+    Renumbers the initial signatures, then applies `step` (coloring to next
+    signatures) until a round is stable or `round_cap` rounds ran. Each next
+    signature starts with the element's own class, so a round only splits
+    classes, and it is stable exactly when the class count stays the same.
+    Returns the final coloring and the repr of every round's table.
+    """
+    coloring, table = _renumber(sig)
+    tables = [table]
+    while round_cap is None or len(tables) <= round_cap:
+        coloring, table = _renumber(step(coloring))
+        tables.append(table)
+        if len(table) == len(tables[-2]):
+            break
+    if stats is not None:
+        stats.note_wl_rounds(len(tables) - 1)
+    return coloring, repr(tuple(tables)).encode("ascii")
 
 
 def wl1_refine(graph: ColoredGraph, round_cap: int | None = None, stats=None):
@@ -42,26 +56,16 @@ def wl1_refine(graph: ColoredGraph, round_cap: int | None = None, stats=None):
     color sets keeps the codes comparable across different graphs.
     """
     verts = list(graph.vertices)
-    sig = {v: tuple(sorted(graph.color_set(v))) for v in verts}
-    coloring, table = _renumber(sig)
-    tables = [table]
-    rounds = 0
-    while round_cap is None or rounds < round_cap:
-        nxt = {
+
+    def step(coloring):
+        return {
             v: (coloring[v], tuple(sorted(coloring[u] for u in graph.neighbors(v))))
             for v in verts
         }
-        refined, table = _renumber(nxt)
-        tables.append(table)
-        rounds += 1
-        stable = _partition(refined) == _partition(coloring)
-        coloring = refined
-        if stable:
-            break
-    if stats is not None:
-        stats.note_wl_rounds(rounds)
-    code = CanonicalCode(b"wl1\n" + repr(tuple(tables)).encode("ascii"))
-    return coloring, code
+
+    sig = {v: tuple(sorted(graph.color_set(v))) for v in verts}
+    coloring, tables = _refine(sig, step, round_cap, stats)
+    return coloring, CanonicalCode(b"wl1\n" + tables)
 
 
 DEFAULT_TUPLE_CAP = 200_000
@@ -98,30 +102,18 @@ def wlk_refine(
         cols = tuple(tuple(sorted(graph.color_set(x))) for x in t)
         return (eqs, adjs, cols)
 
-    tuples = list(itertools.product(verts, repeat=k))
-    sig = {t: initial(t) for t in tuples}
-    coloring, table = _renumber(sig)
-    tables = [table]
-    rounds = 0
-    while round_cap is None or rounds < round_cap:
+    def step(coloring):
         nxt = {}
         for t in tuples:
-            subs = []
-            for w in verts:
-                subs.append(
-                    tuple(coloring[t[:i] + (w,) + t[i + 1:]] for i in range(k))
-                )
+            subs = [
+                tuple(coloring[t[:i] + (w,) + t[i + 1:]] for i in range(k)) for w in verts
+            ]
             nxt[t] = (coloring[t], tuple(sorted(subs)))
-        refined, table = _renumber(nxt)
-        tables.append(table)
-        rounds += 1
-        stable = _partition(refined) == _partition(coloring)
-        coloring = refined
-        if stable:
-            break
-    if stats is not None:
-        stats.note_wl_rounds(rounds)
-    return CanonicalCode(f"wl{k}\n".encode("ascii") + repr(tuple(tables)).encode("ascii"))
+        return nxt
+
+    tuples = list(itertools.product(verts, repeat=k))
+    _, tables = _refine({t: initial(t) for t in tuples}, step, round_cap, stats)
+    return CanonicalCode(f"wl{k}\n".encode("ascii") + tables)
 
 
 def bf_invariant(graph: ColoredGraph, cap: int | None = None) -> CanonicalCode:
@@ -140,6 +132,11 @@ class InvariantBackend:
 
     def code(self, graph: ColoredGraph, stats=None) -> CanonicalCode:
         raise NotImplementedError
+
+    def argmin(self, graphs, stats=None) -> int:
+        """Index of the graph with the smallest code; the first index wins ties."""
+        codes = [self.code(g, stats) for g in graphs]
+        return min(range(len(codes)), key=codes.__getitem__)
 
     def __call__(self, graph: ColoredGraph) -> CanonicalCode:
         return self.code(graph)
@@ -193,6 +190,19 @@ class BruteForceBackend(InvariantBackend):
             stats.count_invariant()
         code, _ = minimum_encoding(graph, self.cap, prune_above=bound)
         return code
+
+    def argmin(self, graphs, stats=None) -> int:
+        """As InvariantBackend.argmin, by a scan that threads a running bound
+        through the candidates, which prunes most of them outright. Raw-byte
+        bounds equal the code order only at one encoded length, hence the guard."""
+        if len(graphs) < 2 or len({encoded_length(g) for g in graphs}) > 1:
+            return super().argmin(graphs, stats)
+        best, bound = None, None
+        for i, g in enumerate(graphs):
+            code = self.code_bounded(g, bound, stats)
+            if code is not None and (bound is None or code.data < bound):
+                best, bound = i, code.data
+        return best
 
 
 def backend_from_selector(

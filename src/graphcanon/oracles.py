@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import OracleCapacityError
-from .graph import ColoredGraph, Labeling, resolve_cap
+from .graph import ColoredGraph, Labeling, _bijections, resolve_cap
 
 
 @dataclass(frozen=True)
@@ -26,41 +26,11 @@ class AutomorphismGroup:
 def automorphisms(graph: ColoredGraph, cap: int | None = None) -> AutomorphismGroup:
     """Every color- and adjacency-preserving permutation, by pruned exhaustive search."""
     limit = resolve_cap(cap)
-    n = graph.n
-    if n > limit:
+    if graph.n > limit:
         raise OracleCapacityError(
-            f"automorphism oracle capped at n <= {limit}, got n = {n}"
+            f"automorphism oracle capped at n <= {limit}, got n = {graph.n}"
         )
-    found: list[Labeling] = []
-    image = [0] * (n + 1)
-    used: set[int] = set()
-
-    def extend(v: int):
-        if v > n:
-            found.append(Labeling(image[1:]))
-            return
-        gcol = graph.color_set(v)
-        gdeg = graph.degree(v)
-        for u in graph.vertices:
-            if u in used:
-                continue
-            if graph.degree(u) != gdeg or graph.color_set(u) != gcol:
-                continue
-            ok = True
-            for w in range(1, v):
-                if graph.has_edge(v, w) != graph.has_edge(u, image[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = u
-            used.add(u)
-            extend(v + 1)
-            used.remove(u)
-            image[v] = 0
-
-    extend(1)
-    return AutomorphismGroup(tuple(found))
+    return AutomorphismGroup(tuple(_bijections(graph, graph)))
 
 
 def orbits(graph: ColoredGraph, cap: int | None = None):

@@ -1,31 +1,24 @@
-"""Order-preserving parallel map and per-run statistics.
+"""Order-preserving map and per-run statistics.
 
-The harness contract: for any worker count and any scheduling, results equal
-sequential execution. All selections downstream are min-reductions under total
-orders with data-deterministic tie-breaks, so preserving input order here is
-sufficient.
+`parallel_map` runs sequentially on the calling thread. A thread pool under the
+GIL was slower than this at every worker count measured, so `workers` is
+accepted for compatibility and ignored; output never depended on it, because
+every selection downstream is a min-reduction under a total order with a
+data-deterministic tie-break.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 
 def parallel_map(fn, items, workers: int = 1) -> list:
-    """Map `fn` over `items`, results in input order regardless of scheduling."""
-    seq = list(items)
-    if workers <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+    """`[fn(x) for x in items]`, in input order; `workers` is ignored."""
+    return [fn(x) for x in items]
 
 
 class RunStats:
-    """Thread-safe accumulator for one canonization or bench run."""
+    """Accumulator for one canonization or bench run."""
 
     def __init__(self, workers: int = 1):
-        self._lock = threading.Lock()
         self.workers = workers
         self.invariant_calls = 0
         self.wl_rounds: list[int] = []
@@ -34,21 +27,16 @@ class RunStats:
         self.wall_ms: float | None = None
 
     def count_invariant(self):
-        with self._lock:
-            self.invariant_calls += 1
+        self.invariant_calls += 1
 
     def note_wl_rounds(self, rounds: int):
-        with self._lock:
-            self.wl_rounds.append(rounds)
+        self.wl_rounds.append(rounds)
 
     def observe_depth(self, depth: int):
-        with self._lock:
-            if depth > self.max_depth:
-                self.max_depth = depth
+        self.max_depth = max(self.max_depth, depth)
 
     def diagnose(self, message: str):
-        with self._lock:
-            self.diagnostics.append(message)
+        self.diagnostics.append(message)
 
     @property
     def had_fallback(self) -> bool:

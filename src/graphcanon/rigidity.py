@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, InvariantFailureError
-from .graph import ColoredGraph, Labeling, encoded_length
+from .graph import ColoredGraph, Labeling
 from .invariant import BruteForceBackend, InvariantBackend
 from .mincode import minimum_encoding
 from .oracles import automorphisms, pointwise_fixed
@@ -84,13 +84,12 @@ def canon_rigidity(
     The chosen sequence minimizes the code of its individualized coloring;
     sequence vertices receive labels 1..r, and the rest are ranked by their
     per-vertex codes (distinct by the fixing property) shifted by r.
+    `workers` is accepted for compatibility and ignored.
     """
     stats = stats if stats is not None else RunStats(workers)
     stats.observe_depth(1)
     sequences = list(itertools.permutations(graph.vertices, r))
-    probes = parallel_map(
-        lambda s: _probe(graph, s, backend, stats), sequences, workers
-    )
+    probes = parallel_map(lambda s: _probe(graph, s, backend, stats), sequences)
     fixing = [p for p in probes if p.fixing]
     if not fixing:
         stats.diagnose(f"no fixing {r}-sequence; minimum-encoding fallback")
@@ -98,8 +97,10 @@ def canon_rigidity(
         _, labeling = minimum_encoding(graph)
         return labeling
 
-    chosen = _min_sequence_code(graph, [p.sequence for p in fixing], backend, workers, stats)
-    codes = next(p.per_vertex_codes for p in fixing if p.sequence == chosen)
+    # probes follow the lexicographic order of the sequences, so the first
+    # index among tied codes is the lexicographically first sequence
+    best = fixing[backend.argmin([individualize(graph, p.sequence) for p in fixing], stats)]
+    chosen, codes = best.sequence, best.per_vertex_codes
 
     labels = {v: i + 1 for i, v in enumerate(chosen)}
     rest = [v for v in graph.vertices if v not in labels]
@@ -112,23 +113,6 @@ def canon_rigidity(
     for i, v in enumerate(rest):
         labels[v] = r + 1 + i
     return Labeling(labels[v] for v in graph.vertices)
-
-
-def _min_sequence_code(graph, sequences, backend, workers, stats):
-    """Sequence whose individualized coloring has the minimal code; lexicographically
-    first sequence among ties. Bounded scan for the brute-force backend."""
-    colorings = [individualize(graph, s) for s in sequences]
-    if isinstance(backend, BruteForceBackend) and len(colorings) > 1:
-        if len({encoded_length(g) for g in colorings}) == 1:
-            best_idx, bound = None, None
-            for i, g in enumerate(colorings):
-                code = backend.code_bounded(g, bound, stats)
-                if code is not None and (bound is None or code.data < bound):
-                    best_idx, bound = i, code.data
-            return sequences[best_idx]
-    codes = parallel_map(lambda g: backend.code(g, stats), colorings, workers)
-    best = min(range(len(codes)), key=lambda i: (codes[i], sequences[i]))
-    return sequences[best]
 
 
 @dataclass(frozen=True)

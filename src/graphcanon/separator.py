@@ -29,10 +29,9 @@ from .graph import (
     apply_permutation,
     are_isomorphic_bf,
     encode,
-    encoded_length,
     resolve_cap,
 )
-from .invariant import BruteForceBackend, InvariantBackend
+from .invariant import InvariantBackend
 from .mincode import minimum_encoding
 from .parallel import RunStats, parallel_map
 
@@ -117,27 +116,6 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
     return flaps
 
 
-def _min_code_over(backend, graphs, workers, stats) -> int:
-    """Index of the code-minimal graph; the first index wins ties.
-
-    For the brute-force backend the scan threads a running bound through the
-    candidates, which prunes most of them outright; the selected index is
-    identical to the unbounded parallel evaluation. Raw-byte bounds equal the
-    code order only at a fixed encoded length, hence the guard.
-    """
-    if isinstance(backend, BruteForceBackend) and len(graphs) > 1:
-        if len({encoded_length(g) for g in graphs}) == 1:
-            best_idx = None
-            bound = None
-            for i, g in enumerate(graphs):
-                code = backend.code_bounded(g, bound, stats)
-                if code is not None and (bound is None or code.data < bound):
-                    best_idx, bound = i, code.data
-            return best_idx
-    codes = parallel_map(lambda g: backend.code(g, stats), graphs, workers)
-    return min(range(len(codes)), key=lambda i: (codes[i], i))
-
-
 def canon_separator(
     graph: ColoredGraph,
     r: int,
@@ -152,14 +130,16 @@ def canon_separator(
 
     A scope with no separating r-sequence, at any depth, is ordered by its
     exact minimum encoding instead (with a diagnostic); above the oracle cap
-    that raises OracleCapacityError, so no non-canonical labeling is returned."""
+    that raises OracleCapacityError, so no non-canonical labeling is returned.
+    `workers` is accepted for compatibility and ignored; it only seeds a fresh
+    RunStats."""
     stats = stats if stats is not None else RunStats(workers)
     run = SeparatorRun(r, 2**r + r, backend, check, oracle_cap)
-    order = _rank_scope(graph, 1, run, stats, workers)
+    order = _rank_scope(graph, 1, run, stats)
     return Labeling.from_position_order(order)
 
 
-def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, workers):
+def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats):
     stats.observe_depth(depth)
     if scope.n <= run.r:
         return _base_case(scope, run, stats)
@@ -177,13 +157,10 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, worke
         scope.with_extra_colors({v: [base + i + 1] for i, v in enumerate(seq)})
         for seq in sequences
     ]
-    best_idx = _min_code_over(run.backend, individualized, workers, stats)
-    chosen = sequences[best_idx]
+    chosen = sequences[run.backend.argmin(individualized, stats)]
 
     flaps = decompose_flaps(scope, chosen, depth, run)
-    flap_codes = parallel_map(
-        lambda fl: run.backend.code(fl.graph, stats), flaps, workers
-    )
+    flap_codes = parallel_map(lambda fl: run.backend.code(fl.graph, stats), flaps)
     if run.check:
         _cross_check_flaps(flaps, flap_codes, run, stats)
 
@@ -195,12 +172,12 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, worke
     def rank_flap(i: int):
         flap = flaps[i]
         if flap.graph.n > run.r:
-            local = _rank_scope(flap.graph, depth + 1, run, stats, workers)
+            local = _rank_scope(flap.graph, depth + 1, run, stats)
         else:
             local = _base_case(flap.graph, run, stats)
         return [flap.origin[v] for v in local]
 
-    child_orders = parallel_map(rank_flap, blocks, workers)
+    child_orders = parallel_map(rank_flap, blocks)
     order = list(chosen)
     for sub in child_orders:
         order.extend(sub)
@@ -218,8 +195,7 @@ def _base_case(scope: ColoredGraph, run: SeparatorRun, stats):
         scope.with_extra_colors({v: [top + perm[v - 1]] for v in scope.vertices})
         for perm in perms
     ]
-    best_idx = _min_code_over(run.backend, candidates, 1, stats)
-    chosen = perms[best_idx]
+    chosen = perms[run.backend.argmin(candidates, stats)]
     return sorted(scope.vertices, key=lambda v: chosen[v - 1])
 
 
@@ -259,7 +235,8 @@ def find_isomorphism(
 
     Equal canonical forms from an incomplete invariant can lie; the candidate
     mapping is checked edge by edge and color by color, and a failure is
-    reported as an invariant diagnostic with None returned.
+    reported as an invariant diagnostic with None returned. `workers` is
+    ignored, as in canon_separator.
     """
     stats = stats if stats is not None else RunStats(workers)
     if graph.n != other.n:

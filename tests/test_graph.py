@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from graphcanon import (
     are_isomorphic_bf,
     encode,
     encoded_length,
+    parallel_map,
 )
 
 from .conftest import complete_graph, path_graph
@@ -228,3 +230,10 @@ class TestSubgraph:
         assert not two_triangles.is_connected()
         assert complete_graph(4).is_connected()
         assert path_graph(1).is_connected()
+
+
+class TestParallelMap:
+    def test_order_kept_and_calls_run_on_the_calling_thread(self):
+        out = parallel_map(lambda x: (x, threading.get_ident()), range(8), workers=4)
+        assert [x for x, _ in out] == list(range(8))
+        assert {ident for _, ident in out} == {threading.get_ident()}

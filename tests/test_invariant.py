@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -6,14 +7,20 @@ from hypothesis import strategies as st
 
 from graphcanon import (
     BackendCapacityError,
+    BruteForceBackend,
     ColoredGraph,
     Labeling,
     OracleCapacityError,
+    Wl1Backend,
     apply_permutation,
     are_isomorphic_bf,
     backend_from_selector,
     bf_invariant,
+    canon_rigidity,
+    canon_separator,
+    cg_dumps,
     encode,
+    encoded_length,
     gen_family,
     minimum_encoding,
     orbits,
@@ -112,7 +119,7 @@ class TestWlk:
             g = gen_family("random_gnp", n=6, p=0.5, seed=seed)
             wl1_classes, _ = wl1_refine(g)
             # recompute the 2-tuple stable partition directly
-            from graphcanon.invariant import _renumber, _partition
+            from graphcanon.invariant import _renumber
 
             verts = list(g.vertices)
             pairs = [(i, j) for i in range(2) for j in range(i + 1, 2)]
@@ -140,7 +147,8 @@ class TestWlk:
                     for t in tuples
                 }
                 refined, _ = _renumber(nxt)
-                if _partition(refined) == _partition(coloring):
+                # refinement only splits classes, so equal counts mean stable
+                if len(set(refined.values())) == len(set(coloring.values())):
                     break
                 coloring = refined
             diag = {v: coloring[(v, v)] for v in verts}
@@ -256,3 +264,88 @@ class TestBackendSelector:
         assert backend_from_selector("wl1").code(p3) == wl1_refine(p3)[1]
         assert backend_from_selector("wlk:2").code(p3) == wlk_refine(p3, 2)
         assert backend_from_selector("bf").code(p3) == bf_invariant(p3)
+
+
+def first_minimal_index(backend, graphs):
+    codes = [backend.code(g) for g in graphs]
+    best = min(codes)
+    assert codes.count(best) >= 2, "the case must contain a tie"
+    return codes.index(best)
+
+
+class TestArgmin:
+    # P4 with one endpoint or one inner vertex marked: the two endpoint
+    # markings tie, and so do the two inner ones
+    MARKED_P4 = [path_graph(4).with_extra_colors({v: [1]}) for v in (2, 4, 3, 1)]
+
+    def test_wl1_first_index_wins_ties(self):
+        backend = Wl1Backend()
+        graphs = self.MARKED_P4
+        assert backend.argmin(graphs) == first_minimal_index(backend, graphs)
+        assert backend.argmin(graphs[::-1]) == first_minimal_index(backend, graphs[::-1])
+
+    def test_bf_bounded_path_first_index_wins_ties(self):
+        backend = BruteForceBackend()
+        graphs = self.MARKED_P4
+        assert len({encoded_length(g) for g in graphs}) == 1
+        assert backend.argmin(graphs) == first_minimal_index(backend, graphs)
+        assert backend.argmin(graphs[::-1]) == first_minimal_index(backend, graphs[::-1])
+
+    def test_bf_mixed_length_path_first_index_wins_ties(self):
+        backend = BruteForceBackend()
+        # a two-digit color makes a longer, hence larger, code
+        graphs = [
+            path_graph(3).with_extra_colors({1: [10]}),
+            path_graph(3).with_extra_colors({3: [1]}),
+            path_graph(3).with_extra_colors({2: [1]}),
+            path_graph(3).with_extra_colors({1: [1]}),
+        ]
+        assert len({encoded_length(g) for g in graphs}) > 1
+        assert backend.argmin(graphs) == first_minimal_index(backend, graphs)
+        assert backend.argmin(graphs[::-1]) == first_minimal_index(backend, graphs[::-1])
+
+
+# Canonical forms of fixed seeded inputs under both canonizers. A refactor must
+# keep these bytes; a change that alters them on purpose says so and records
+# the new digest.
+GOLDEN_CASES = (
+    ("separator", "wl1", 1, "tree", dict(n=14, seed=1)),
+    ("separator", "bf", 1, "tree", dict(n=10, seed=2)),
+    ("separator", "wl1", 1, "star", dict(n=7)),
+    ("separator", "bf", 1, "complete", dict(n=5)),
+    ("separator", "wl1", 2, "partial_k_tree", dict(n=9, k=2, seed=3)),
+    ("separator", "bf", 2, "partial_k_tree", dict(n=8, k=2, seed=4)),
+    ("separator", "wl1", 2, "random_gnp", dict(n=7, p=0.4, seed=7)),
+    ("separator", "bf", 2, "random_gnp", dict(n=6, p=0.5, seed=8)),
+    ("separator", "bf", 2, "cycle", dict(n=6)),
+    ("separator", "wl1", 3, "k_tree", dict(n=12, k=2, seed=5)),
+    ("separator", "bf", 3, "partial_k_tree", dict(n=9, k=2, seed=6)),
+    ("separator", "wl1", 3, "random_gnp", dict(n=8, p=0.3, seed=9)),
+    ("rigidity", "wl1", 1, "random_gnp", dict(n=7, p=0.4, seed=10)),
+    ("rigidity", "bf", 1, "random_gnp", dict(n=6, p=0.5, seed=11)),
+    ("rigidity", "wl1", 1, "complete", dict(n=3)),
+    ("rigidity", "wl1", 2, "random_gnp", dict(n=7, p=0.35, seed=12)),
+    ("rigidity", "bf", 2, "tree", dict(n=6, seed=13)),
+    ("rigidity", "wl1", 2, "cycle", dict(n=6)),
+    ("rigidity", "bf", 2, "cycle", dict(n=5)),
+    ("rigidity", "wl1", 3, "random_gnp", dict(n=6, p=0.5, seed=14)),
+    ("rigidity", "bf", 3, "partial_k_tree", dict(n=5, k=2, seed=15)),
+)
+GOLDEN_DIGEST = "e34e9963d7e66a8ebc5f56f19262e41821046d9820d885f1a699c818887a30b2"
+
+
+def golden_forms_digest():
+    digest = hashlib.sha256()
+    for canonizer, selector, r, family, params in GOLDEN_CASES:
+        g = gen_family(family, **params)
+        backend = backend_from_selector(selector)
+        if canonizer == "separator":
+            labeling = canon_separator(g, r, backend)
+        else:
+            labeling = canon_rigidity(g, r, backend)
+        digest.update(cg_dumps(apply_permutation(g, labeling)).encode("ascii"))
+    return digest.hexdigest()
+
+
+def test_golden_canonical_forms():
+    assert golden_forms_digest() == GOLDEN_DIGEST

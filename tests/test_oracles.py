@@ -9,6 +9,7 @@ from graphcanon import (
     Lcg64,
     OracleCapacityError,
     apply_permutation,
+    are_isomorphic_bf,
     automorphisms,
     gen_family,
     manifest_line,
@@ -31,6 +32,43 @@ def naive_automorphisms(g):
     return out
 
 
+def naive_first_isomorphism(g, h):
+    """Independent oracle: the first of all n! maps, in lexicographic order,
+    that carries g onto h."""
+    if g.n != h.n:
+        return None
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        sigma = Labeling(perm)
+        if apply_permutation(g, sigma) == h:
+            return sigma
+    return None
+
+
+def seeded_colored_graphs(count, seed):
+    """Random colored graphs with 1..6 vertices, each paired with a relabeled
+    copy, a copy with one vertex recolored, and the next graph of the list."""
+    rng = Lcg64(seed)
+    graphs = []
+    for _ in range(count):
+        n = 1 + rng.randrange(6)
+        edges = [
+            (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.chance(0.45)
+        ]
+        colors = {v: {rng.randrange(2)} for v in range(1, n + 1) if rng.chance(0.35)}
+        graphs.append(ColoredGraph(n, edges, colors))
+    pairs = []
+    for i, g in enumerate(graphs):
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)
+        pairs.append((g, apply_permutation(g, Labeling(perm))))
+        pairs.append((g, g.with_extra_colors({1 + rng.randrange(g.n): [5]})))
+        pairs.append((g, graphs[(i + 1) % count]))
+    return graphs, pairs
+
+
+SEEDED_GRAPHS, SEEDED_PAIRS = seeded_colored_graphs(30, seed=17)
+
+
 class TestAutomorphisms:
     def test_k4_order(self, k4):
         assert automorphisms(k4).order == 24
@@ -42,6 +80,10 @@ class TestAutomorphisms:
         group = automorphisms(c4)
         assert group.order == 8
         assert list(group) == naive_automorphisms(c4)
+
+    def test_seeded_colored_graphs_match_naive(self):
+        for g in SEEDED_GRAPHS:
+            assert list(automorphisms(g)) == naive_automorphisms(g)
 
     def test_colored_graph_respects_colors(self):
         g = ColoredGraph(3, [(1, 2), (2, 3)], {1: {7}})
@@ -61,6 +103,18 @@ class TestAutomorphisms:
     def test_cap(self):
         with pytest.raises(OracleCapacityError):
             automorphisms(ColoredGraph(11))
+
+
+class TestFirstIsomorphism:
+    def test_seeded_pairs_match_naive(self):
+        # are_isomorphic_bf runs the same search as automorphisms, so it must
+        # return the lexicographically first isomorphism, or None
+        found = 0
+        for g, h in SEEDED_PAIRS:
+            expected = naive_first_isomorphism(g, h)
+            assert are_isomorphic_bf(g, h) == expected
+            found += expected is not None
+        assert 0 < found < len(SEEDED_PAIRS)
 
 
 class TestOrbits:
