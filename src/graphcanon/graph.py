@@ -24,7 +24,9 @@ class ColoredGraph:
     """Simple undirected graph on vertices 1..n with a color set per vertex.
 
     Instances are immutable and hashable; operations that "modify" a graph
-    return a new one, so graphs can be shared freely.
+    return a new one, so graphs can be shared freely. A recoloring
+    (`with_extra_colors`) shares its source's edge set and adjacency and
+    validates only the merged colors.
     """
 
     __slots__ = ("n", "edges", "colors", "_adj", "_key")
@@ -47,19 +49,23 @@ class ColoredGraph:
             adj[a].add(b)
             adj[b].add(a)
         self.edges = frozenset(canon_edges)
+        self._adj = {v: frozenset(s) for v, s in adj.items()}
+        self._set_colors(colors or {})
+
+    def _set_colors(self, colors):
+        """Validate `colors` against 1..n, keep the non-empty sets, set the key."""
         palette = {}
-        for v, cs in (colors or {}).items():
+        for v, cs in colors.items():
             v = int(v)
-            if not 1 <= v <= n:
-                raise InvalidGraphError(f"colored vertex {v} outside 1..{n}")
+            if not 1 <= v <= self.n:
+                raise InvalidGraphError(f"colored vertex {v} outside 1..{self.n}")
             cset = frozenset(int(c) for c in cs)
             if any(c < 0 for c in cset):
                 raise InvalidGraphError("colors must be non-negative integers")
             if cset:
                 palette[v] = cset
         self.colors = palette
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
-        self._key = (n, self.edges, frozenset(palette.items()))
+        self._key = (self.n, self.edges, frozenset(palette.items()))
 
     @property
     def vertices(self) -> range:
@@ -82,7 +88,10 @@ class ColoredGraph:
         merged = {v: set(cs) for v, cs in self.colors.items()}
         for v, cs in extra.items():
             merged.setdefault(v, set()).update(cs)
-        return ColoredGraph(self.n, self.edges, merged)
+        graph = ColoredGraph.__new__(ColoredGraph)
+        graph.n, graph.edges, graph._adj = self.n, self.edges, self._adj
+        graph._set_colors(merged)
+        return graph
 
     def induced_subgraph(self, vertices):
         """Renumbered induced subgraph plus the map from new ids back to originals.
@@ -90,6 +99,8 @@ class ColoredGraph:
         New vertices 1..t follow the sorted order of the kept originals.
         """
         kept = sorted(set(vertices))
+        if kept and not 1 <= kept[0] <= kept[-1] <= self.n:
+            raise InvalidGraphError(f"subgraph vertices must lie in 1..{self.n}")
         index = {v: i + 1 for i, v in enumerate(kept)}
         keptset = set(kept)
         edges = [
@@ -99,9 +110,10 @@ class ColoredGraph:
         origin = {i + 1: v for i, v in enumerate(kept)}
         return ColoredGraph(len(kept), edges, colors), origin
 
-    def components(self):
-        """Connected components as frozensets, ordered by smallest member."""
-        seen: set[int] = set()
+    def components(self, removed=()):
+        """Connected components of the graph minus `removed`, as frozensets,
+        ordered by smallest member."""
+        seen = set(removed)
         comps = []
         for start in self.vertices:
             if start in seen:
@@ -112,7 +124,7 @@ class ColoredGraph:
             while stack:
                 x = stack.pop()
                 for y in self._adj[x]:
-                    if y not in comp:
+                    if y not in seen:
                         comp.add(y)
                         seen.add(y)
                         stack.append(y)

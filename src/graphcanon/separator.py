@@ -69,9 +69,7 @@ def is_separator(graph: ColoredGraph, vertex_set) -> bool:
     xs = set(vertex_set)
     if not xs <= set(graph.vertices):
         raise ContractViolationError("separator candidates must be vertices of the graph")
-    rest = [v for v in graph.vertices if v not in xs]
-    sub, _ = graph.induced_subgraph(rest)
-    return all(2 * len(comp) <= graph.n for comp in sub.components())
+    return all(2 * len(comp) <= graph.n for comp in graph.components(xs))
 
 
 def mark_separating_sequences(graph: ColoredGraph, r: int):
@@ -98,14 +96,10 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
         raise ContractViolationError("separator sequence has repeated vertices")
     if not is_separator(graph, sequence):
         raise ContractViolationError("sequence is not a separator of this scope")
-    xs = set(sequence)
     base = (depth - 1) * run.block_width + run.r + 1
-    rest = [v for v in graph.vertices if v not in xs]
-    sub, sub_origin = graph.induced_subgraph(rest)
     flaps = []
-    for comp in sorted(sub.components(), key=min):
-        originals = sorted(sub_origin[v] for v in comp)
-        fgraph, origin = graph.induced_subgraph(originals)
+    for comp in graph.components(sequence):
+        fgraph, origin = graph.induced_subgraph(comp)
         pattern = {}
         for local, orig in origin.items():
             offset = sum(
@@ -233,10 +227,12 @@ def find_isomorphism(
 ) -> Labeling | None:
     """Isomorphism from two canonical labelings, verified before returning.
 
-    Equal canonical forms from an incomplete invariant can lie; the candidate
-    mapping is checked edge by edge and color by color, and a failure is
-    reported as an invariant diagnostic with None returned. `workers` is
-    ignored, as in canon_separator.
+    `encode` is injective, so equal canonical forms already make the induced
+    mapping an isomorphism; an incomplete invariant can only make this miss an
+    isomorphism (None for an isomorphic pair). The mapping is still checked,
+    as a guard against bugs in the canonizer, and a failure is reported as an
+    invariant diagnostic with None returned. `workers` is ignored, as in
+    canon_separator.
     """
     stats = stats if stats is not None else RunStats(workers)
     if graph.n != other.n:
@@ -246,21 +242,9 @@ def find_isomorphism(
     if encode(apply_permutation(graph, sig_g)) != encode(apply_permutation(other, sig_h)):
         return None
     mapping = sig_h.inverse().compose(sig_g)
-    if _is_isomorphism(graph, other, mapping):
+    if apply_permutation(graph, mapping) == other:
         return mapping
     stats.diagnose(
         "invariant failure: equal canonical codes but the induced map is not an isomorphism"
     )
     return None
-
-
-def _is_isomorphism(graph: ColoredGraph, other: ColoredGraph, mapping: Labeling) -> bool:
-    if len(graph.edges) != len(other.edges):
-        return False
-    for u, v in graph.edges:
-        if not other.has_edge(mapping[u], mapping[v]):
-            return False
-    for v in graph.vertices:
-        if graph.color_set(v) != other.color_set(mapping[v]):
-            return False
-    return True

@@ -15,6 +15,7 @@ from graphcanon import (
     are_isomorphic_bf,
     encode,
     encoded_length,
+    gen_family,
     parallel_map,
 )
 
@@ -44,6 +45,36 @@ def small_colored_graphs(max_n=6):
 
 def permutations_of(n):
     return st.permutations(list(range(1, n + 1)))
+
+
+def seeded_small_graphs():
+    """32 seeded graphs with n <= 8: trees, partial 2-trees and G(n, 0.35),
+    plus precolored copies of the first eight."""
+    graphs = []
+    for seed in range(8):
+        n = 3 + seed % 6
+        graphs.append(gen_family("tree", n=n, seed=seed))
+        graphs.append(gen_family("partial_k_tree", n=max(n, 4), k=2, seed=seed))
+        graphs.append(gen_family("random_gnp", n=n, p=0.35, seed=seed))
+    for g in graphs[:8]:
+        colors = {v: {v % 3, 7} if v % 2 else {v % 3} for v in g.vertices if v != 2}
+        graphs.append(ColoredGraph(g.n, g.edges, colors))
+    return graphs
+
+
+def small_vertex_sets(graph, max_size=2):
+    """Every set of at most max_size vertices, as sorted tuples."""
+    for k in range(max_size + 1):
+        yield from itertools.combinations(graph.vertices, k)
+
+
+def components_by_induction(graph, removed):
+    """Components of graph minus `removed`, found on the induced subgraph of the
+    rest and mapped back to the graph's vertices."""
+    sub, origin = graph.induced_subgraph(v for v in graph.vertices if v not in removed)
+    return sorted(
+        (frozenset(origin[v] for v in comp) for comp in sub.components()), key=min
+    )
 
 
 class TestConstruction:
@@ -224,12 +255,54 @@ class TestSubgraph:
         assert sub == ColoredGraph(3, [(1, 2), (2, 3)], {2: {9}})
         assert origin == {1: 1, 2: 3, 3: 5}
 
+    def test_induced_subgraph_rejects_foreign_vertices(self):
+        g = ColoredGraph(3, [(1, 2), (2, 3)])
+        for vertices in ([1, 99], [0, 2, 3], [-1]):
+            with pytest.raises(InvalidGraphError):
+                g.induced_subgraph(vertices)
+        assert g.induced_subgraph([])[0] == ColoredGraph(0)
+
     def test_components(self, two_triangles):
         comps = two_triangles.components()
         assert comps == [frozenset({1, 2, 3}), frozenset({4, 5, 6})]
         assert not two_triangles.is_connected()
         assert complete_graph(4).is_connected()
         assert path_graph(1).is_connected()
+
+    def test_components_minus_removed_match_induced_subgraph(self):
+        for g in seeded_small_graphs():
+            for removed in small_vertex_sets(g):
+                assert g.components(removed) == components_by_induction(g, removed)
+
+
+class TestRecoloring:
+    def test_shares_edges_and_adjacency(self):
+        for g in seeded_small_graphs():
+            h = g.with_extra_colors({1: [40], g.n: [41, 42]})
+            assert h.edges is g.edges
+            assert all(h.neighbors(v) is g.neighbors(v) for v in g.vertices)
+
+    def test_equals_and_hashes_as_the_rebuilt_graph(self):
+        for g in seeded_small_graphs():
+            extra = {v: {v % 4, 9} for v in g.vertices if v % 3 != 1}
+            merged = {v: g.color_set(v) | extra.get(v, set()) for v in g.vertices}
+            rebuilt = ColoredGraph(g.n, g.edges, merged)
+            h = g.with_extra_colors(extra)
+            assert h == rebuilt and hash(h) == hash(rebuilt)
+            assert encode(h) == encode(rebuilt)
+
+    def test_empty_extra_colors_change_nothing(self):
+        g = ColoredGraph(3, [(1, 2)], {2: {5}})
+        assert g.with_extra_colors({3: []}) == g
+
+    def test_rejects_negative_color(self, p3):
+        with pytest.raises(InvalidGraphError):
+            p3.with_extra_colors({2: [-1]})
+
+    def test_rejects_vertex_outside_range(self, p3):
+        for v in (0, 4, 9):
+            with pytest.raises(InvalidGraphError):
+                p3.with_extra_colors({v: [1]})
 
 
 class TestParallelMap:

@@ -23,7 +23,12 @@ from graphcanon.parallel import RunStats
 from graphcanon.separator import SeparatorRun
 
 from .conftest import complete_graph, path_graph
-from .test_graph import permutations_of
+from .test_graph import (
+    components_by_induction,
+    permutations_of,
+    seeded_small_graphs,
+    small_vertex_sets,
+)
 
 BF = BruteForceBackend()
 WL1 = Wl1Backend()
@@ -41,7 +46,32 @@ def relabelings(n, count, seed):
     return out
 
 
+def flaps_by_two_step_induction(graph, sequence, depth, run):
+    """Reference flaps: induce the rest of the scope, split it into components,
+    induce each component again from the scope, and add the pattern colors."""
+    base = (depth - 1) * run.block_width + run.r + 1
+    rest = [v for v in graph.vertices if v not in sequence]
+    sub, sub_origin = graph.induced_subgraph(rest)
+    flaps = []
+    for comp in sorted(sub.components(), key=min):
+        fgraph, origin = graph.induced_subgraph(sorted(sub_origin[v] for v in comp))
+        colors = {}
+        for local, orig in origin.items():
+            offset = sum(1 << i for i, s in enumerate(sequence) if graph.has_edge(orig, s))
+            colors[local] = fgraph.color_set(local) | {base + offset}
+        flaps.append((ColoredGraph(fgraph.n, fgraph.edges, colors), origin))
+    return flaps
+
+
 class TestIsSeparator:
+    def test_matches_components_of_the_induced_rest(self):
+        for g in seeded_small_graphs():
+            for xs in small_vertex_sets(g):
+                expected = all(
+                    2 * len(comp) <= g.n for comp in components_by_induction(g, xs)
+                )
+                assert is_separator(g, xs) == expected
+
     def test_p3_midpoint(self, p3):
         assert is_separator(p3, {2})
 
@@ -146,6 +176,35 @@ class TestDecomposeFlaps:
         for lab in relabelings(6, 4, seed=23):
             h = apply_permutation(two_triangles, lab)
             assert encode(apply_permutation(h, canon_separator(h, 1, BF))) == form
+
+    def test_flaps_match_two_step_induction(self):
+        for g in seeded_small_graphs():
+            for xs in small_vertex_sets(g):
+                if not xs or not is_separator(g, xs):
+                    continue
+                r = len(xs)
+                run = SeparatorRun(r, 2**r + r, BF)
+                for seq in itertools.permutations(xs):
+                    for depth in (1, 2):
+                        flaps = decompose_flaps(g, seq, depth, run)
+                        expected = flaps_by_two_step_induction(g, seq, depth, run)
+                        assert [(f.graph, f.origin) for f in flaps] == expected
+
+    def test_one_graph_built_per_flap_and_none_to_test_separators(self, monkeypatch):
+        built = []
+        init = ColoredGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        g = gen_family("partial_k_tree", n=9, k=2, seed=4)
+        run = SeparatorRun(2, 6, BF)
+        monkeypatch.setattr(ColoredGraph, "__init__", counting_init)
+        sequences = mark_separating_sequences(g, 2)
+        assert sequences and not built
+        flaps = decompose_flaps(g, sequences[0], 1, run)
+        assert len(built) == len(flaps)
 
     def test_flap_partition_property(self):
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
