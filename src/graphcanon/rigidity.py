@@ -1,14 +1,14 @@
 """Canonical labeling by individualization, for graphs of bounded rigidity index.
 
-A sequence s = (v_1..v_r) is probed by giving v_i color i and, one vertex at a
-time, an extra color r+1; the sequence is fixing when the invariant codes of
-those per-vertex colorings are pairwise distinct. With a complete invariant
+A sequence s = (v_1..v_r) is probed by giving v_i color b+i-1 and, one vertex
+at a time, an extra color b+r; the sequence is fixing when the invariant codes
+of those per-vertex colorings are pairwise distinct. With a complete invariant
 this agrees exactly with the automorphism-based fixing test, which is what
 rigidity_consistency_check demonstrates.
 
-The individualization colors are the literal values 1..r+1, which assumes the
-input carries no colors of its own in that range; precolored inputs would need
-an offset scheme and are not supported here.
+The base b is one above the graph's largest input color (b = 1 on an
+uncolored graph), so an individualization color never aliases an input color.
+b is an isomorphism invariant, so the forms stay canonical.
 """
 
 from __future__ import annotations
@@ -33,21 +33,29 @@ class FixingCandidate:
     fixing: bool
 
 
+def _color_base(graph: ColoredGraph) -> int:
+    """One above the largest input color; 1 on an uncolored graph."""
+    return max((c for cs in graph.colors.values() for c in cs), default=0) + 1
+
+
 def individualize(graph: ColoredGraph, sequence) -> ColoredGraph:
-    """Color i added onto the i-th sequence vertex, i = 1..r."""
+    """Color b+i-1 added onto the i-th sequence vertex, i = 1..r, where b is
+    one above the largest input color (so colors 1..r on an uncolored graph)."""
     seq = tuple(sequence)
     if len(set(seq)) != len(seq):
         raise ContractViolationError("individualization sequence has repeated vertices")
-    return graph.with_extra_colors({v: [i + 1] for i, v in enumerate(seq)})
+    base = _color_base(graph)
+    return graph.with_extra_colors({v: [base + i] for i, v in enumerate(seq)})
 
 
 def individualize_plus(graph: ColoredGraph, sequence, vertex: int) -> ColoredGraph:
-    """individualize(...) with color r+1 additionally on `vertex`.
+    """individualize(...) with color b+r additionally on `vertex`.
 
     The vertex may itself belong to the sequence; color sets simply stack.
     """
     seq = tuple(sequence)
-    return individualize(graph, seq).with_extra_colors({vertex: [len(seq) + 1]})
+    plus = _color_base(graph) + len(seq)
+    return individualize(graph, seq).with_extra_colors({vertex: [plus]})
 
 
 def _probe(graph: ColoredGraph, sequence, backend: InvariantBackend, stats=None) -> FixingCandidate:
@@ -81,25 +89,28 @@ def canon_rigidity(
     minimum-encoding labeling with a diagnostic flag; above the oracle cap
     (GRAPHCANON_ORACLE_CAP) that raises OracleCapacityError.
 
-    The chosen sequence minimizes the code of its individualized coloring;
-    sequence vertices receive labels 1..r, and the rest are ranked by their
+    Every r-sequence is coded once by its individualized coloring;
+    sequences are then probed in (code, lexicographic order) and the first
+    fixing one is chosen, which is the fixing sequence of minimal code.
+    Sequence vertices receive labels 1..r, and the rest are ranked by their
     per-vertex codes (distinct by the fixing property) shifted by r.
     `workers` is accepted for compatibility and ignored.
     """
     stats = stats if stats is not None else RunStats(workers)
     stats.observe_depth(1)
     sequences = list(itertools.permutations(graph.vertices, r))
-    probes = parallel_map(lambda s: _probe(graph, s, backend, stats), sequences)
-    fixing = [p for p in probes if p.fixing]
-    if not fixing:
+    seq_codes = parallel_map(lambda s: backend.code(individualize(graph, s), stats), sequences)
+    # sorted() is stable and permutations() is lexicographic, so among tied
+    # codes the lexicographically first sequence is probed first
+    for i in sorted(range(len(sequences)), key=seq_codes.__getitem__):
+        best = _probe(graph, sequences[i], backend, stats)
+        if best.fixing:
+            break
+    else:
         stats.diagnose(f"no fixing {r}-sequence; minimum-encoding fallback")
         stats.count_invariant()
         _, labeling = minimum_encoding(graph)
         return labeling
-
-    # probes follow the lexicographic order of the sequences, so the first
-    # index among tied codes is the lexicographically first sequence
-    best = fixing[backend.argmin([individualize(graph, p.sequence) for p in fixing], stats)]
     chosen, codes = best.sequence, best.per_vertex_codes
 
     labels = {v: i + 1 for i, v in enumerate(chosen)}

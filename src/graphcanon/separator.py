@@ -67,7 +67,7 @@ def is_separator(graph: ColoredGraph, vertex_set) -> bool:
     n is the order of this graph; the comparison is exact (2*size <= n).
     """
     xs = set(vertex_set)
-    if not xs <= set(graph.vertices):
+    if not all(v in graph.vertices for v in xs):
         raise ContractViolationError("separator candidates must be vertices of the graph")
     return all(2 * len(comp) <= graph.n for comp in graph.components(xs))
 

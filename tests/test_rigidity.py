@@ -19,7 +19,8 @@ from graphcanon import (
     rigidity_consistency_check,
     wl1_refine,
 )
-from graphcanon.invariant import BruteForceBackend, Wl1Backend
+from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
+from graphcanon.mincode import minimum_encoding
 from graphcanon.parallel import RunStats
 
 BF = BruteForceBackend()
@@ -54,6 +55,13 @@ class TestIndividualize:
     def test_plus_may_stack_on_sequence_vertex(self, k3):
         g = individualize_plus(k3, (1,), 1)
         assert g.color_set(1) == frozenset({1, 2})
+
+    def test_colors_start_above_largest_input_color(self):
+        g = ColoredGraph(3, [(1, 2)], {1: {0}, 2: {0, 4}})
+        h = individualize_plus(g, (3, 1), 2)
+        assert [h.color_set(v) for v in g.vertices] == [{0, 6}, {0, 4, 7}, {5}]
+        # the input graph's colors and adjacency are shared, not rebuilt
+        assert h.edges is g.edges and h.neighbors(1) is g.neighbors(1)
 
 
 class TestFixingTests:
@@ -142,8 +150,97 @@ class TestCanonRigidity:
             done += 1
         assert done >= 10
 
+    def test_precolored_input_does_not_alias_individualization_colors(self):
+        # input color 1 is also the individualization color at r=1, so
+        # unless input colors are shifted, vertex 1 looks individualized
+        g = ColoredGraph(3, [(1, 2)], {1: {1}, 3: {1}})
+        for backend in (BF, Wl1Backend()):
+            form = encode(apply_permutation(g, canon_rigidity(g, 1, backend)))
+            for perm in itertools.permutations(range(1, 4)):
+                h = apply_permutation(g, Labeling(perm))
+                assert encode(apply_permutation(h, canon_rigidity(h, 1, backend))) == form
+
+    def test_precolored_zero_does_not_alias_individualization_colors(self):
+        # color 0 is valid input; a shift by r+1 would turn it into the
+        # probe color r+1, so no P3 sequence would be found fixing
+        g = ColoredGraph(3, [(1, 2), (2, 3)], {v: {0} for v in range(1, 4)})
+        for backend in (BF, Wl1Backend()):
+            forms = set()
+            for perm in itertools.permutations(range(1, 4)):
+                h = apply_permutation(g, Labeling(perm))
+                stats = RunStats()
+                forms.add(encode(apply_permutation(h, canon_rigidity(h, 1, backend, stats=stats))))
+                assert stats.diagnostics == []
+            assert len(forms) == 1
+
+    def test_negative_r_refused_on_precolored_graph(self):
+        g = ColoredGraph(3, [(1, 2)], {1: {0}})
+        with pytest.raises(ValueError):
+            canon_rigidity(g, -3, Wl1Backend())
+
+    def test_call_budget_on_refinement_discrete_graph(self):
+        # every sequence of a graph that refinement makes discrete is fixing,
+        # so one code per 2-sequence plus one probe of n codes suffices
+        g = gen_family("random_gnp", n=18, p=0.2, seed=1)
+        coloring, _ = wl1_refine(g)
+        assert len(set(coloring.values())) == g.n
+        stats = RunStats()
+        canon_rigidity(g, 2, Wl1Backend(), stats=stats)
+        assert stats.invariant_calls == 18 * 17 + 18
+
+
+def _eager_rigidity(graph, r, backend):
+    """The eager rule on an uncolored graph: probe every r-sequence, then
+    choose the fixing one of minimal (code, index). Returns the labeling and
+    the diagnostics."""
+    probes = []
+    for s in itertools.permutations(graph.vertices, r):
+        codes = {v: backend.code(individualize_plus(graph, s, v)) for v in graph.vertices}
+        probes.append((s, codes, len(set(codes.values())) == graph.n))
+    fixing = [
+        (backend.code(individualize(graph, s)), i) for i, (s, _, ok) in enumerate(probes) if ok
+    ]
+    if not fixing:
+        return minimum_encoding(graph)[1], [f"no fixing {r}-sequence; minimum-encoding fallback"]
+    chosen, codes, _ = probes[min(fixing)[1]]
+    rest = sorted((v for v in graph.vertices if v not in chosen), key=codes.__getitem__)
+    labels = {v: i + 1 for i, v in enumerate(chosen + tuple(rest))}
+    return Labeling(labels[v] for v in graph.vertices), []
+
+
+class TestLazyEqualsEager:
+    def _corpus(self):
+        graphs = [("K3", gen_family("complete", n=3)), ("C4", gen_family("cycle", n=4))]
+        for seed in range(10):
+            n = 5 + seed % 4
+            graphs.append((f"gnp{seed}", gen_family("random_gnp", n=n, p=0.35, seed=seed)))
+            graphs.append((f"tree{seed}", gen_family("tree", n=n, seed=seed)))
+            graphs.append((f"p2t{seed}", gen_family("partial_k_tree", n=n, k=2, seed=seed)))
+        return graphs
+
+    @pytest.mark.parametrize(
+        "backend, max_n",
+        [(Wl1Backend(), 8), (WlkBackend(2), 6), (BF, 7)],
+        ids=["wl1", "wlk:2", "bf"],
+    )
+    def test_lazy_choice_equals_eager_rule(self, backend, max_n):
+        for name, g in self._corpus():
+            if g.n > max_n:
+                continue
+            for r in (1, 2):
+                stats = RunStats()
+                got = canon_rigidity(g, r, backend, stats=stats)
+                assert (got, stats.diagnostics) == _eager_rigidity(g, r, backend), (name, r)
+
 
 class TestConsistencyCheck:
+    def test_precolored_with_individualization_color_agrees(self):
+        # two isolated vertices colored 1: individualizing either one with
+        # color 1 would change nothing, so neither would look fixing
+        g = ColoredGraph(2, [], {1: {1}, 2: {1}})
+        assert rigidity_consistency_check(g, 1).ok
+        assert is_fixing_by_invariant(g, (1,), BF)
+
     def test_c4_all_pairs_agree(self, c4):
         report = rigidity_consistency_check(c4, 2)
         assert report.checked == 12
