@@ -220,7 +220,7 @@ def cmd_bench(args) -> int:
         started = time.perf_counter()
         _canonize(graph, args, stats)
         stats.wall_ms = (time.perf_counter() - started) * 1000.0
-        diagnostics = ";".join(d.replace(",", ";") for d in stats.diagnostics) or "-"
+        diagnostics = ";".join(str(d).replace(",", ";") for d in stats.diagnostics) or "-"
         report = RunReport(
             family=args.family,
             n=graph.n,

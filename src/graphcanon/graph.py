@@ -80,6 +80,10 @@ class ColoredGraph:
     def color_set(self, v: int) -> frozenset:
         return self.colors.get(v, frozenset())
 
+    def top_color(self) -> int:
+        """The largest color on any vertex; 0 on an uncolored graph."""
+        return max((c for cs in self.colors.values() for c in cs), default=0)
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 

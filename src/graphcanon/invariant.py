@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .errors import BackendCapacityError
-from .graph import CanonicalCode, ColoredGraph, encoded_length
+from .errors import BackendCapacityError, OracleCapacityError
+from .graph import CanonicalCode, ColoredGraph, encoded_length, resolve_cap
 from .mincode import minimum_encoding
 
 
@@ -66,6 +66,20 @@ def wl1_refine(graph: ColoredGraph, round_cap: int | None = None, stats=None):
     sig = {v: tuple(sorted(graph.color_set(v))) for v in verts}
     coloring, tables = _refine(sig, step, round_cap, stats)
     return coloring, CanonicalCode(b"wl1\n" + tables)
+
+
+def sequence_keys(graph: ColoredGraph, sequences) -> list:
+    """Per sequence, the tuple of its vertices' stable wl1 classes.
+
+    Class ids come from sorted signatures, so the keys are label-independent
+    and any filter or order on them is isomorphism-invariant. This is
+    target-cell selection (McKay & Piperno, Practical graph isomorphism II,
+    2014): the separator recursion codes only its minimal-key candidates, and
+    rigidity probes its candidates in key order. The refinement is not a
+    backend code and is not counted as one.
+    """
+    classes, _ = wl1_refine(graph)
+    return [tuple(classes[v] for v in seq) for seq in sequences]
 
 
 DEFAULT_TUPLE_CAP = 200_000
@@ -134,7 +148,10 @@ class InvariantBackend:
         raise NotImplementedError
 
     def argmin(self, graphs, stats=None) -> int:
-        """Index of the graph with the smallest code; the first index wins ties."""
+        """Index of the graph with the smallest code; the first index wins ties.
+        A single graph is not coded."""
+        if len(graphs) == 1:
+            return 0
         codes = [self.code(g, stats) for g in graphs]
         return min(range(len(codes)), key=codes.__getitem__)
 
@@ -194,7 +211,15 @@ class BruteForceBackend(InvariantBackend):
     def argmin(self, graphs, stats=None) -> int:
         """As InvariantBackend.argmin, by a scan that threads a running bound
         through the candidates, which prunes most of them outright. Raw-byte
-        bounds equal the code order only at one encoded length, hence the guard."""
+        bounds equal the code order only at one encoded length, hence the guard.
+        Every graph is checked against the cap first, so a graph above it is
+        refused even where it would not be coded."""
+        limit = resolve_cap(self.cap)
+        for g in graphs:
+            if g.n > limit:
+                raise OracleCapacityError(
+                    f"brute-force invariant capped at n <= {limit}, got n = {g.n}"
+                )
         if len(graphs) < 2 or len({encoded_length(g) for g in graphs}) > 1:
             return super().argmin(graphs, stats)
         best, bound = None, None

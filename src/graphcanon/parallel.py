@@ -1,4 +1,4 @@
-"""Order-preserving map and per-run statistics.
+"""Order-preserving map, per-run statistics and structured diagnostics.
 
 `parallel_map` runs sequentially on the calling thread. A thread pool under the
 GIL was slower than this at every worker count measured, so `workers` is
@@ -9,10 +9,31 @@ data-deterministic tie-break.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 
 def parallel_map(fn, items, workers: int = 1) -> list:
     """`[fn(x) for x in items]`, in input order; `workers` is ignored."""
     return [fn(x) for x in items]
+
+
+FALLBACK = "fallback"
+INVARIANT_FAILURE = "invariant-failure"
+
+
+class Diagnostic(NamedTuple):
+    """One event a run reports: its kind (FALLBACK or INVARIANT_FAILURE), the
+    recursion depth and order of the scope it concerns, and the message text.
+    str() of a diagnostic is its message. A named tuple, because defining
+    one costs a tenth of a frozen dataclass at import time."""
+
+    kind: str
+    depth: int
+    n: int
+    detail: str
+
+    def __str__(self):
+        return self.detail
 
 
 class RunStats:
@@ -23,7 +44,7 @@ class RunStats:
         self.invariant_calls = 0
         self.wl_rounds: list[int] = []
         self.max_depth = 0
-        self.diagnostics: list[str] = []
+        self.diagnostics: list[Diagnostic] = []
         self.wall_ms: float | None = None
 
     def count_invariant(self):
@@ -35,9 +56,9 @@ class RunStats:
     def observe_depth(self, depth: int):
         self.max_depth = max(self.max_depth, depth)
 
-    def diagnose(self, message: str):
-        self.diagnostics.append(message)
+    def diagnose(self, kind: str, depth: int, n: int, detail: str):
+        self.diagnostics.append(Diagnostic(kind, depth, n, detail))
 
     @property
     def had_fallback(self) -> bool:
-        return any("fallback" in d for d in self.diagnostics)
+        return any(d.kind == FALLBACK for d in self.diagnostics)

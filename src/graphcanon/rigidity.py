@@ -6,6 +6,12 @@ of those per-vertex colorings are pairwise distinct. With a complete invariant
 this agrees exactly with the automorphism-based fixing test, which is what
 rigidity_consistency_check demonstrates.
 
+Sequences are probed in an isomorphism-invariant order: by key, the tuple of
+their vertices' stable wl1 classes, and within one key by the code of their
+individualized coloring; the first fixing one is chosen. Only a key shared by
+several sequences needs those codes, so on a graph that refinement makes
+discrete no sequence is coded at all.
+
 The base b is one above the graph's largest input color (b = 1 on an
 uncolored graph), so an individualization color never aliases an input color.
 b is an isomorphism invariant, so the forms stay canonical.
@@ -18,10 +24,10 @@ from dataclasses import dataclass
 
 from .errors import ContractViolationError, InvariantFailureError
 from .graph import ColoredGraph, Labeling
-from .invariant import BruteForceBackend, InvariantBackend
+from .invariant import BruteForceBackend, InvariantBackend, sequence_keys
 from .mincode import minimum_encoding
 from .oracles import automorphisms, pointwise_fixed
-from .parallel import RunStats, parallel_map
+from .parallel import FALLBACK, RunStats, parallel_map
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,7 @@ class FixingCandidate:
 
 def _color_base(graph: ColoredGraph) -> int:
     """One above the largest input color; 1 on an uncolored graph."""
-    return max((c for cs in graph.colors.values() for c in cs), default=0) + 1
+    return graph.top_color() + 1
 
 
 def individualize(graph: ColoredGraph, sequence) -> ColoredGraph:
@@ -78,6 +84,27 @@ def is_fixing_bf(graph: ColoredGraph, vertex_set, cap: int | None = None) -> boo
     return not pointwise_fixed(group, set(vertex_set))
 
 
+def _probe_order(graph: ColoredGraph, r: int, backend: InvariantBackend, stats):
+    """Every r-sequence, in the order canon_rigidity probes them.
+
+    Sequences are grouped by key (sequence_keys) and the groups come in key
+    order. A group of one sequence is not coded; a larger group is coded
+    when it is reached and yields in (code, lexicographic order).
+    """
+    sequences = list(itertools.permutations(graph.vertices, r))
+    groups: dict = {}
+    for seq, key in zip(sequences, sequence_keys(graph, sequences)):
+        groups.setdefault(key, []).append(seq)
+    for key in sorted(groups):
+        group = groups[key]
+        if len(group) > 1:
+            codes = parallel_map(lambda s: backend.code(individualize(graph, s), stats), group)
+            # sorted() is stable and permutations() is lexicographic, so among
+            # tied codes the lexicographically first sequence comes first
+            group = [group[i] for i in sorted(range(len(group)), key=codes.__getitem__)]
+        yield from group
+
+
 def canon_rigidity(
     graph: ColoredGraph,
     r: int,
@@ -89,25 +116,24 @@ def canon_rigidity(
     minimum-encoding labeling with a diagnostic flag; above the oracle cap
     (GRAPHCANON_ORACLE_CAP) that raises OracleCapacityError.
 
-    Every r-sequence is coded once by its individualized coloring;
-    sequences are then probed in (code, lexicographic order) and the first
-    fixing one is chosen, which is the fixing sequence of minimal code.
-    Sequence vertices receive labels 1..r, and the rest are ranked by their
-    per-vertex codes (distinct by the fixing property) shifted by r.
-    `workers` is accepted for compatibility and ignored.
+    Sequences are probed in key order, the tuple of their vertices' stable
+    wl1 classes; within one key, in (code of the individualized coloring,
+    lexicographic order). The first fixing one is chosen, which is the
+    fixing sequence of minimal (key, code, order). Sequence vertices receive
+    labels 1..r, and the rest are ranked by their per-vertex codes (distinct
+    by the fixing property) shifted by r. `workers` is accepted for
+    compatibility and ignored.
     """
     stats = stats if stats is not None else RunStats(workers)
     stats.observe_depth(1)
-    sequences = list(itertools.permutations(graph.vertices, r))
-    seq_codes = parallel_map(lambda s: backend.code(individualize(graph, s), stats), sequences)
-    # sorted() is stable and permutations() is lexicographic, so among tied
-    # codes the lexicographically first sequence is probed first
-    for i in sorted(range(len(sequences)), key=seq_codes.__getitem__):
-        best = _probe(graph, sequences[i], backend, stats)
+    for seq in _probe_order(graph, r, backend, stats):
+        best = _probe(graph, seq, backend, stats)
         if best.fixing:
             break
     else:
-        stats.diagnose(f"no fixing {r}-sequence; minimum-encoding fallback")
+        stats.diagnose(
+            FALLBACK, 1, graph.n, f"no fixing {r}-sequence; minimum-encoding fallback"
+        )
         stats.count_invariant()
         _, labeling = minimum_encoding(graph)
         return labeling

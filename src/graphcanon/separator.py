@@ -1,20 +1,21 @@
 """Canonical labeling by balanced-separator recursion over a pluggable invariant.
 
 The recursion at depth d works on a colored scope graph H: it enumerates the
-separating r-sequences, picks the one whose individualized coloring minimizes
-the invariant, puts the sequence vertices first, splits the rest into flaps
-colored by their adjacency pattern toward the separator, orders flap blocks by
-their invariant codes, and recurses (or solves flaps of at most r vertices by
-trying every bijection). Colors introduced at depth d live in the block
-((d-1)*(2^r+r), d*(2^r+r)], so no two depths ever collide.
+separating r-sequences, keeps those whose vertices' stable wl1 classes form
+the smallest key (when there are more than two), picks among them the one
+whose individualized coloring minimizes the invariant, puts the sequence
+vertices first, splits the rest into flaps colored by their adjacency pattern
+toward the separator, orders flap blocks by their invariant codes, and
+recurses (or solves flaps of at most r vertices by trying every bijection).
+
+Let b be the root graph's largest input color (0 on an uncolored graph) and
+W = 2^r + r. Colors introduced at depth d live in the block
+(b+(d-1)W, b+dW], above every input color, so no depth collides with the
+input or with another depth. b is an isomorphism invariant, so the forms stay
+canonical.
 
 Literal label values from the construction can exceed n, so every assignment is
 realized as a rank in a global order and flattened to 1..n at the end.
-
-Input graphs are expected to be uncolored, or at least colored outside the
-recursion's reserved ranges: an input color inside ((d-1)*(2^r+r), d*(2^r+r)]
-for some reachable depth d can alias a pattern color, since color sets absorb
-duplicates. Recursion-introduced colors never collide with each other.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .graph import (
     encode,
     resolve_cap,
 )
-from .invariant import InvariantBackend
+from .invariant import InvariantBackend, sequence_keys
 from .mincode import minimum_encoding
-from .parallel import RunStats, parallel_map
+from .parallel import FALLBACK, INVARIANT_FAILURE, RunStats, parallel_map
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ class SeparatorRun:
     backend: InvariantBackend
     check: bool = False
     oracle_cap: int | None = None
+    color_base: int = 0  # b, the root graph's largest input color
 
     def __post_init__(self):
         if self.r < 1:
@@ -87,7 +89,7 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
     """One flap per component of scope-minus-separator.
 
     Each flap vertex gains the pattern color
-    (d-1)*W + r + 1 + sum of 2^(i-1) over the sequence positions i it is
+    b + (d-1)*W + r + 1 + sum of 2^(i-1) over the sequence positions i it is
     adjacent to, on top of its inherited colors. Flaps are renumbered 1..t and
     keep their origin maps; they are ordered by smallest original vertex.
     """
@@ -96,7 +98,7 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
         raise ContractViolationError("separator sequence has repeated vertices")
     if not is_separator(graph, sequence):
         raise ContractViolationError("sequence is not a separator of this scope")
-    base = (depth - 1) * run.block_width + run.r + 1
+    base = run.color_base + (depth - 1) * run.block_width + run.r + 1
     flaps = []
     for comp in graph.components(sequence):
         fgraph, origin = graph.induced_subgraph(comp)
@@ -122,13 +124,18 @@ def canon_separator(
     """Canonical labeling of the graph, given an invariant complete for the
     colorings arising in the run.
 
+    A scope with more than two separating r-sequences first narrows them to
+    those of minimal key (their vertices' stable wl1 classes in order, see
+    sequence_keys); the sequence chosen is the first code-minimal one among
+    those left. A single candidate is taken without coding it.
+
     A scope with no separating r-sequence, at any depth, is ordered by its
     exact minimum encoding instead (with a diagnostic); above the oracle cap
     that raises OracleCapacityError, so no non-canonical labeling is returned.
     `workers` is accepted for compatibility and ignored; it only seeds a fresh
     RunStats."""
     stats = stats if stats is not None else RunStats(workers)
-    run = SeparatorRun(r, 2**r + r, backend, check, oracle_cap)
+    run = SeparatorRun(r, 2**r + r, backend, check, oracle_cap, graph.top_color())
     order = _rank_scope(graph, 1, run, stats)
     return Labeling.from_position_order(order)
 
@@ -140,13 +147,20 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats):
     sequences = mark_separating_sequences(scope, run.r)
     if not sequences:
         stats.diagnose(
-            f"no separating {run.r}-sequence at depth {depth}; minimum-encoding fallback"
+            FALLBACK,
+            depth,
+            scope.n,
+            f"no separating {run.r}-sequence at depth {depth}; minimum-encoding fallback",
         )
         stats.count_invariant()
         _, labeling = minimum_encoding(scope, run.oracle_cap)
         return list(labeling.inverse())
 
-    base = (depth - 1) * run.block_width
+    if len(sequences) > 2:
+        keys = sequence_keys(scope, sequences)
+        least = min(keys)
+        sequences = [s for s, k in zip(sequences, keys) if k == least]
+    base = run.color_base + (depth - 1) * run.block_width
     individualized = [
         scope.with_extra_colors({v: [base + i + 1] for i, v in enumerate(seq)})
         for seq in sequences
@@ -156,7 +170,7 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats):
     flaps = decompose_flaps(scope, chosen, depth, run)
     flap_codes = parallel_map(lambda fl: run.backend.code(fl.graph, stats), flaps)
     if run.check:
-        _cross_check_flaps(flaps, flap_codes, run, stats)
+        _cross_check_flaps(flaps, flap_codes, depth, run, stats)
 
     blocks = sorted(
         range(len(flaps)),
@@ -183,7 +197,7 @@ def _base_case(scope: ColoredGraph, run: SeparatorRun, stats):
     with (largest color present) + tau(v), keep the code-minimal tau."""
     if scope.n == 0:
         return []
-    top = max((c for cs in scope.colors.values() for c in cs), default=0)
+    top = scope.top_color()
     perms = list(itertools.permutations(range(1, scope.n + 1)))
     candidates = [
         scope.with_extra_colors({v: [top + perm[v - 1]] for v in scope.vertices})
@@ -193,7 +207,7 @@ def _base_case(scope: ColoredGraph, run: SeparatorRun, stats):
     return sorted(scope.vertices, key=lambda v: chosen[v - 1])
 
 
-def _cross_check_flaps(flaps, flap_codes, run: SeparatorRun, stats):
+def _cross_check_flaps(flaps, flap_codes, depth: int, run: SeparatorRun, stats):
     """Equal-code flap pairs must be isomorphic when the backend is complete;
     brute force verifies this for flaps within the oracle cap."""
     cap = resolve_cap(run.oracle_cap)
@@ -211,7 +225,10 @@ def _cross_check_flaps(flaps, flap_codes, run: SeparatorRun, stats):
                 continue
             if witness is None:
                 stats.diagnose(
-                    "invariant failure: flaps with equal codes are not isomorphic"
+                    INVARIANT_FAILURE,
+                    depth + 1,
+                    ga.n,
+                    "invariant failure: flaps with equal codes are not isomorphic",
                 )
 
 
@@ -245,6 +262,9 @@ def find_isomorphism(
     if apply_permutation(graph, mapping) == other:
         return mapping
     stats.diagnose(
-        "invariant failure: equal canonical codes but the induced map is not an isomorphism"
+        INVARIANT_FAILURE,
+        1,
+        graph.n,
+        "invariant failure: equal canonical codes but the induced map is not an isomorphism",
     )
     return None

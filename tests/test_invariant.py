@@ -27,6 +27,8 @@ from graphcanon import (
     wl1_refine,
     wlk_refine,
 )
+from graphcanon.invariant import sequence_keys
+from graphcanon.parallel import RunStats
 
 from .conftest import complete_graph, path_graph
 from .test_graph import permutations_of, small_colored_graphs
@@ -304,6 +306,35 @@ class TestArgmin:
         assert backend.argmin(graphs) == first_minimal_index(backend, graphs)
         assert backend.argmin(graphs[::-1]) == first_minimal_index(backend, graphs[::-1])
 
+    def test_single_graph_is_not_coded(self, p3):
+        stats = RunStats()
+        assert Wl1Backend().argmin([p3], stats) == 0
+        assert stats.invariant_calls == 0
+
+    def test_bf_single_graph_above_cap_refused(self):
+        # the lone graph is never coded, so only the up-front check refuses it
+        with pytest.raises(OracleCapacityError):
+            BruteForceBackend().argmin([path_graph(11)])
+
+
+class TestSequenceKeys:
+    def test_keys_are_stable_classes_in_sequence_order(self):
+        p4 = path_graph(4)
+        classes, _ = wl1_refine(p4)
+        assert classes[1] == classes[4] != classes[2] == classes[3]
+        keys = sequence_keys(p4, [(1, 2), (2, 1), (4, 3)])
+        end, inner = classes[1], classes[2]
+        assert keys == [(end, inner), (inner, end), (end, inner)]
+
+    def test_keys_follow_relabeling(self):
+        g = gen_family("random_gnp", n=7, p=0.4, seed=3)
+        seqs = list(itertools.permutations(g.vertices, 2))
+        keys = dict(zip(seqs, sequence_keys(g, seqs)))
+        lab = Labeling([3, 5, 1, 7, 2, 4, 6])
+        h = apply_permutation(g, lab)
+        image = [(lab[a], lab[b]) for a, b in seqs]
+        assert sequence_keys(h, image) == [keys[s] for s in seqs]
+
 
 # Canonical forms of fixed seeded inputs under both canonizers. A refactor must
 # keep these bytes; a change that alters them on purpose says so and records
@@ -331,7 +362,7 @@ GOLDEN_CASES = (
     ("rigidity", "wl1", 3, "random_gnp", dict(n=6, p=0.5, seed=14)),
     ("rigidity", "bf", 3, "partial_k_tree", dict(n=5, k=2, seed=15)),
 )
-GOLDEN_DIGEST = "e34e9963d7e66a8ebc5f56f19262e41821046d9820d885f1a699c818887a30b2"
+GOLDEN_DIGEST = "3ced435bd58391e64a45b7776d36112798e0709b1b7c569638c94819758c901d"
 
 
 def golden_forms_digest():

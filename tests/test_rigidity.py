@@ -21,7 +21,7 @@ from graphcanon import (
 )
 from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
 from graphcanon.mincode import minimum_encoding
-from graphcanon.parallel import RunStats
+from graphcanon.parallel import FALLBACK, Diagnostic, RunStats
 
 BF = BruteForceBackend()
 
@@ -179,30 +179,43 @@ class TestCanonRigidity:
             canon_rigidity(g, -3, Wl1Backend())
 
     def test_call_budget_on_refinement_discrete_graph(self):
-        # every sequence of a graph that refinement makes discrete is fixing,
-        # so one code per 2-sequence plus one probe of n codes suffices
+        # refinement makes the graph discrete, so every sequence has its own
+        # key and none is coded; the first one probed is fixing, for n codes
         g = gen_family("random_gnp", n=18, p=0.2, seed=1)
         coloring, _ = wl1_refine(g)
         assert len(set(coloring.values())) == g.n
         stats = RunStats()
         canon_rigidity(g, 2, Wl1Backend(), stats=stats)
-        assert stats.invariant_calls == 18 * 17 + 18
+        assert stats.invariant_calls == 18
+
+    def test_fallback_diagnostic_record(self, k3):
+        stats = RunStats()
+        canon_rigidity(k3, 1, Wl1Backend(), stats=stats)
+        assert stats.diagnostics == [
+            Diagnostic(FALLBACK, 1, 3, "no fixing 1-sequence; minimum-encoding fallback")
+        ]
+        assert stats.had_fallback
 
 
 def _eager_rigidity(graph, r, backend):
     """The eager rule on an uncolored graph: probe every r-sequence, then
-    choose the fixing one of minimal (code, index). Returns the labeling and
-    the diagnostics."""
+    choose the fixing one of minimal (key, code, index), where the key is the
+    tuple of the sequence's stable wl1 classes. Returns the labeling and the
+    diagnostics."""
+    classes, _ = wl1_refine(graph)
     probes = []
     for s in itertools.permutations(graph.vertices, r):
         codes = {v: backend.code(individualize_plus(graph, s, v)) for v in graph.vertices}
         probes.append((s, codes, len(set(codes.values())) == graph.n))
     fixing = [
-        (backend.code(individualize(graph, s)), i) for i, (s, _, ok) in enumerate(probes) if ok
+        (tuple(classes[v] for v in s), backend.code(individualize(graph, s)), i)
+        for i, (s, _, ok) in enumerate(probes)
+        if ok
     ]
     if not fixing:
-        return minimum_encoding(graph)[1], [f"no fixing {r}-sequence; minimum-encoding fallback"]
-    chosen, codes, _ = probes[min(fixing)[1]]
+        message = f"no fixing {r}-sequence; minimum-encoding fallback"
+        return minimum_encoding(graph)[1], [Diagnostic(FALLBACK, 1, graph.n, message)]
+    chosen, codes, _ = probes[min(fixing)[2]]
     rest = sorted((v for v in graph.vertices if v not in chosen), key=codes.__getitem__)
     labels = {v: i + 1 for i, v in enumerate(chosen + tuple(rest))}
     return Labeling(labels[v] for v in graph.vertices), []

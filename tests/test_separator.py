@@ -17,9 +17,11 @@ from graphcanon import (
     gen_family,
     is_separator,
     mark_separating_sequences,
+    wl1_refine,
 )
+from graphcanon import invariant
 from graphcanon.invariant import BruteForceBackend, Wl1Backend
-from graphcanon.parallel import RunStats
+from graphcanon.parallel import FALLBACK, INVARIANT_FAILURE, Diagnostic, RunStats
 from graphcanon.separator import SeparatorRun
 
 from .conftest import complete_graph, path_graph
@@ -239,6 +241,14 @@ class TestCanonSeparator:
         stats = RunStats()
         assert canon_separator(k5, 1, BF, stats=stats) == Labeling.identity(5)
         assert stats.had_fallback
+        message = "no separating 1-sequence at depth 1; minimum-encoding fallback"
+        assert stats.diagnostics == [Diagnostic(FALLBACK, 1, 5, message)]
+
+    def test_had_fallback_reads_the_kind_not_the_text(self):
+        stats = RunStats()
+        stats.diagnose(INVARIANT_FAILURE, 1, 4, "invariant failure: not a fallback")
+        assert not stats.had_fallback
+        assert str(stats.diagnostics[0]) == "invariant failure: not a fallback"
 
     def test_symmetric_flap_ties_are_irrelevant(self):
         # four interchangeable leaf flaps; any relabeling permutes them
@@ -285,7 +295,9 @@ class TestCanonSeparator:
         union = ColoredGraph(13, k33 + prism + apex)
         stats = RunStats()
         canon_separator(union, 1, WL1, check=True, stats=stats)
-        assert any("invariant failure" in d for d in stats.diagnostics)
+        failures = [d for d in stats.diagnostics if d.kind == INVARIANT_FAILURE]
+        assert failures and all(str(d).startswith("invariant failure") for d in failures)
+        assert {(d.depth, d.n) for d in failures} == {(2, 6)}
 
     def test_workers_do_not_change_result(self):
         g = gen_family("partial_k_tree", n=9, k=2, seed=77)
@@ -349,6 +361,92 @@ def test_no_separator_above_oracle_cap_refuses():
         canon_separator(complete_graph(11), 1, WL1)
 
 
+# relabelings of this graph got two forms under bf at r=1 while input color 2
+# aliased the depth-1 pattern colors; the color blocks now start above it
+PRECOLORED_ALIAS = ColoredGraph(4, [(1, 4), (2, 3), (2, 4)], {1: {3}, 4: {2}})
+
+
+def test_precolored_alias_regression():
+    forms = set()
+    for perm in itertools.permutations(range(1, 5)):
+        h = apply_permutation(PRECOLORED_ALIAS, Labeling(perm))
+        forms.add(encode(apply_permutation(h, canon_separator(h, 1, BF))))
+    assert len(forms) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_precolored_form_invariant_under_random_relabeling(data):
+    # colors up to 2W+1 at r=2 (W = 6) reach into the first two depth blocks
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    r = data.draw(st.sampled_from([1, 2]))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    palette = st.sets(st.integers(min_value=0, max_value=13), max_size=2)
+    colors = {v: data.draw(palette) for v in range(1, n + 1)}
+    g = ColoredGraph(n, [e for e, keep in zip(pairs, mask) if keep], colors)
+    h = apply_permutation(g, Labeling(data.draw(permutations_of(n))))
+    fg = encode(apply_permutation(g, canon_separator(g, r, BF)))
+    fh = encode(apply_permutation(h, canon_separator(h, r, BF)))
+    assert fg == fh
+
+
+def reference_root_choice(graph, r, backend):
+    """The root scope's separator, by the rule written out: the separating
+    r-sequences, narrowed to those of minimal key (the tuple of their stable
+    wl1 classes) when there are more than two, then the first code-minimal
+    one, coded with individualization colors b+1..b+r."""
+    seqs = mark_separating_sequences(graph, r)
+    if len(seqs) > 2:
+        classes, _ = wl1_refine(graph)
+        keys = [tuple(classes[v] for v in s) for s in seqs]
+        seqs = [s for s, k in zip(seqs, keys) if k == min(keys)]
+    b = graph.top_color()
+    codes = [
+        backend.code(graph.with_extra_colors({v: [b + i + 1] for i, v in enumerate(s)}))
+        for s in seqs
+    ]
+    return seqs[codes.index(min(codes))]
+
+
+@pytest.mark.parametrize("backend", [BF, WL1], ids=["bf", "wl1"])
+def test_separator_choice_equals_reference_rule(backend):
+    checked = 0
+    for seed in range(12):
+        n = 6 + seed % 4
+        for g, r in (
+            (gen_family("tree", n=n, seed=seed), 1),
+            (gen_family("partial_k_tree", n=n, k=2, seed=seed), 2),
+            (gen_family("random_gnp", n=n, p=0.35, seed=seed), 2),
+            (gen_family("k_tree", n=n, k=2, seed=seed), 3),
+        ):
+            if not mark_separating_sequences(g, r):
+                continue
+            lab = canon_separator(g, r, backend)
+            chosen = reference_root_choice(g, r, backend)
+            assert [lab[v] for v in chosen] == list(range(1, r + 1)), (seed, r)
+            checked += 1
+    assert checked >= 40
+
+
+def test_key_refinement_only_above_two_sequences(monkeypatch):
+    calls = []
+    real = invariant.wl1_refine
+
+    def counting(graph, *args, **kwargs):
+        calls.append(graph.n)
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(invariant, "wl1_refine", counting)
+    # P7 at r=1: the centre is the root's only separator, and each flap is a
+    # P3 whose midpoint is its only one
+    canon_separator(path_graph(7), 1, BF)
+    assert calls == []
+    # C6 at r=2 has many separating pairs at the root
+    canon_separator(gen_family("cycle", n=6), 2, BF)
+    assert calls[:1] == [6]
+
+
 class TestFindIsomorphism:
     def test_self(self, k4):
         mapping = find_isomorphism(k4, k4, 1, BF)
@@ -372,3 +470,31 @@ class TestFindIsomorphism:
         stats = RunStats()
         mapping = find_isomorphism(c6, two_triangles, 1, WL1, stats=stats)
         assert mapping is None
+
+    @pytest.mark.parametrize("backend", [BF, WL1], ids=["bf", "wl1"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_agrees_with_bf_oracle(self, backend, r):
+        # one graph per isomorphism class for n <= 5, against every other of
+        # its order and a relabeled copy of itself; then seeded graphs, n = 6
+        from graphcanon import are_isomorphic_bf, bf_invariant
+
+        groups = []
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            reps = {}
+            for mask in range(1 << len(pairs)):
+                g = ColoredGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                reps.setdefault(bf_invariant(g), g)
+            groups.append(list(reps.values()))
+        groups.append([gen_family("random_gnp", n=6, p=0.45, seed=s) for s in range(8)])
+        for graphs in groups:
+            n = graphs[0].n
+            labs = relabelings(n, len(graphs), seed=n)
+            copies = [apply_permutation(g, lab) for g, lab in zip(graphs, labs)]
+            pairs = list(itertools.combinations(graphs, 2)) + list(zip(graphs, copies))
+            for g, h in pairs:
+                expected = are_isomorphic_bf(g, h) is not None
+                mapping = find_isomorphism(g, h, r, backend)
+                assert (mapping is not None) == expected, (g.edges, h.edges)
+                if mapping is not None:
+                    assert apply_permutation(g, mapping) == h
