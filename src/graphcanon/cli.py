@@ -79,7 +79,7 @@ def _read_graph(path: str, fmt: str):
 
 def _canonize(graph, args, stats: RunStats) -> Labeling:
     if args.method == "bf":
-        _, labeling = minimum_encoding(graph)
+        _, labeling = minimum_encoding(graph, stats=stats)
         stats.count_invariant()
         stats.observe_depth(1)
         return labeling

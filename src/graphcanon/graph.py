@@ -135,6 +135,78 @@ class ColoredGraph:
             comps.append(frozenset(comp))
         return comps
 
+    def largest_components_without(self, removed=()) -> list:
+        """largest[v] = order of the largest component of the graph minus
+        `removed` minus v, for every vertex v (entry 0 is unused; for a
+        removed v it is the largest component of the graph minus `removed`).
+
+        One iterative lowpoint DFS (Hopcroft & Tarjan, CACM 16, 1973) over the
+        graph minus `removed`. Removing v leaves, from v's own component, each
+        child subtree with low[c] >= disc[v] as a component of its own and the
+        rest of the component as one more; every other component stays whole.
+        """
+        n = self.n
+        adj = self._adj
+        # removed vertices count as visited, and n + 1 lowers no lowpoint
+        disc = [0] * (n + 1)
+        for x in removed:
+            disc[x] = n + 1
+        low = [0] * (n + 1)
+        size = [1] * (n + 1)
+        cut = [0] * (n + 1)  # vertices in the child subtrees that v cuts off
+        big = [0] * (n + 1)  # the largest piece v's own component splits into
+        comp = [0] * (n + 1)  # order of v's component
+        order = 0
+        first = second = 0  # the two largest component orders
+        for root in range(1, n + 1):
+            if disc[root]:
+                continue
+            order += 1
+            disc[root] = low[root] = order
+            visit = [root]
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                v, it = stack[-1]
+                for w in it:
+                    dw = disc[w]
+                    if not dw:
+                        order += 1
+                        disc[w] = low[w] = order
+                        visit.append(w)
+                        stack.append((w, iter(adj[w])))
+                        break
+                    if dw < low[v]:
+                        low[v] = dw
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        s = size[v]
+                        size[p] += s
+                        if low[v] >= disc[p]:
+                            cut[p] += s
+                            if s > big[p]:
+                                big[p] = s
+                        elif low[v] < low[p]:
+                            low[p] = low[v]
+            total = size[root]
+            for v in visit:
+                comp[v] = total
+                rest = total - 1 - cut[v]
+                if rest > big[v]:
+                    big[v] = rest
+            if total > first:
+                first, second = total, first
+            elif total > second:
+                second = total
+        largest = [first] * (n + 1)
+        largest[0] = 0
+        for v in range(1, n + 1):
+            if disc[v] <= n:
+                other = second if comp[v] == first else first
+                largest[v] = big[v] if big[v] > other else other
+        return largest
+
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 

@@ -130,12 +130,12 @@ def wlk_refine(
     return CanonicalCode(f"wl{k}\n".encode("ascii") + tables)
 
 
-def bf_invariant(graph: ColoredGraph, cap: int | None = None) -> CanonicalCode:
+def bf_invariant(graph: ColoredGraph, cap: int | None = None, stats=None) -> CanonicalCode:
     """Minimum of encode(apply_permutation(G, s)) over all labelings s.
 
     A complete invariant on all colored graphs, and a canonical form.
     """
-    code, _ = minimum_encoding(graph, cap)
+    code, _ = minimum_encoding(graph, cap, stats=stats)
     return code
 
 
@@ -199,13 +199,13 @@ class BruteForceBackend(InvariantBackend):
     def code(self, graph, stats=None):
         if stats is not None:
             stats.count_invariant()
-        return bf_invariant(graph, self.cap)
+        return bf_invariant(graph, self.cap, stats)
 
     def code_bounded(self, graph, bound: bytes | None, stats=None):
         """Code if it is <= bound (raw-byte compare), else None. Internal fast path."""
         if stats is not None:
             stats.count_invariant()
-        code, _ = minimum_encoding(graph, self.cap, prune_above=bound)
+        code, _ = minimum_encoding(graph, self.cap, prune_above=bound, stats=stats)
         return code
 
     def argmin(self, graphs, stats=None) -> int:

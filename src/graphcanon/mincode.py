@@ -8,6 +8,10 @@ candidates can lead to the overall minimum, and a branch whose prefix exceeds th
 incumbent is dead. Candidates equivalent to an explored sibling under an
 automorphism (discovered whenever a leaf ties the incumbent) are skipped. All
 three prunings preserve the exact minimum.
+
+At most _AUTO_LIMIT automorphisms are kept. A tying leaf met when the store is
+full is dropped, which only weakens the pruning; a RunStats passed as `stats`
+counts those drops in `auto_limit_hits`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ def minimum_encoding(
     graph: ColoredGraph,
     cap: int | None = None,
     prune_above: bytes | None = None,
+    stats=None,
 ):
     """(code, labeling) achieving the minimum encoding of the graph.
 
@@ -81,6 +86,8 @@ def minimum_encoding(
                 version[0] += 1
                 return
             if len(autos) >= _AUTO_LIMIT:
+                if stats is not None:
+                    stats.count_auto_limit()
                 return
             ref = best_order[0]
             alpha = [0] * (n + 1)

@@ -42,6 +42,7 @@ class RunStats:
     def __init__(self, workers: int = 1):
         self.workers = workers
         self.invariant_calls = 0
+        self.auto_limit_hits = 0  # automorphisms mincode dropped at _AUTO_LIMIT
         self.wl_rounds: list[int] = []
         self.max_depth = 0
         self.diagnostics: list[Diagnostic] = []
@@ -49,6 +50,9 @@ class RunStats:
 
     def count_invariant(self):
         self.invariant_calls += 1
+
+    def count_auto_limit(self):
+        self.auto_limit_hits += 1
 
     def note_wl_rounds(self, rounds: int):
         self.wl_rounds.append(rounds)

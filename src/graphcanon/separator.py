@@ -63,24 +63,42 @@ class Flap:
     origin: dict  # flap vertex -> vertex of the parent scope
 
 
+def _split(graph: ColoredGraph, vertex_set):
+    """The components of G minus the set, and whether each has at most n/2
+    vertices (exactly: 2*size <= n, n the order of this graph)."""
+    xs = set(vertex_set)
+    if not all(v in graph.vertices for v in xs):
+        raise ContractViolationError("separator candidates must be vertices of the graph")
+    comps = graph.components(xs)
+    return comps, all(2 * len(comp) <= graph.n for comp in comps)
+
+
 def is_separator(graph: ColoredGraph, vertex_set) -> bool:
     """True when every component of G minus the set has at most n/2 vertices.
 
     n is the order of this graph; the comparison is exact (2*size <= n).
     """
-    xs = set(vertex_set)
-    if not all(v in graph.vertices for v in xs):
-        raise ContractViolationError("separator candidates must be vertices of the graph")
-    return all(2 * len(comp) <= graph.n for comp in graph.components(xs))
+    return _split(graph, vertex_set)[1]
 
 
 def mark_separating_sequences(graph: ColoredGraph, r: int):
-    """All ordered r-sequences of distinct vertices whose set is a separator,
-    in lexicographic order. Empty when none exist."""
+    """All ordered r-sequences of distinct vertices whose set is a separator
+    (see is_separator), in lexicographic order. Empty when none exist.
+
+    Each r-set is its first r-1 vertices (the head) plus one larger vertex v.
+    One lowpoint DFS on G minus the head gives, for every v at once, the
+    largest component of G minus the head minus v, so the work is C(n, r-1)
+    linear passes rather than one component walk per r-set.
+    """
+    if r < 1:
+        raise ContractViolationError("separator sequences need r >= 1")
+    n = graph.n
     out = []
-    for combo in itertools.combinations(graph.vertices, r):
-        if is_separator(graph, combo):
-            out.extend(itertools.permutations(combo))
+    for head in itertools.combinations(range(1, n), r - 1):
+        largest = graph.largest_components_without(head)
+        for v in range(head[-1] + 1 if head else 1, n + 1):
+            if 2 * largest[v] <= n:
+                out.extend(itertools.permutations(head + (v,)))
     out.sort()
     return out
 
@@ -96,11 +114,12 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
     sequence = tuple(sequence)
     if len(set(sequence)) != len(sequence):
         raise ContractViolationError("separator sequence has repeated vertices")
-    if not is_separator(graph, sequence):
+    comps, balanced = _split(graph, sequence)
+    if not balanced:
         raise ContractViolationError("sequence is not a separator of this scope")
     base = run.color_base + (depth - 1) * run.block_width + run.r + 1
     flaps = []
-    for comp in graph.components(sequence):
+    for comp in comps:
         fgraph, origin = graph.induced_subgraph(comp)
         pattern = {}
         for local, orig in origin.items():
@@ -153,7 +172,7 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats):
             f"no separating {run.r}-sequence at depth {depth}; minimum-encoding fallback",
         )
         stats.count_invariant()
-        _, labeling = minimum_encoding(scope, run.oracle_cap)
+        _, labeling = minimum_encoding(scope, run.oracle_cap, stats=stats)
         return list(labeling.inverse())
 
     if len(sequences) > 2:

@@ -274,6 +274,16 @@ class TestSubgraph:
             for removed in small_vertex_sets(g):
                 assert g.components(removed) == components_by_induction(g, removed)
 
+    def test_largest_components_without_matches_component_walks(self):
+        graphs = seeded_small_graphs() + [ColoredGraph(0), ColoredGraph(3, [(1, 2)])]
+        for g in graphs:
+            for removed in small_vertex_sets(g):
+                largest = g.largest_components_without(removed)
+                assert len(largest) == g.n + 1
+                for v in g.vertices:
+                    walked = g.components(set(removed) | {v})
+                    assert largest[v] == max(map(len, walked), default=0)
+
 
 class TestRecoloring:
     def test_shares_edges_and_adjacency(self):

@@ -205,6 +205,23 @@ class TestBruteForceInvariant:
         with pytest.raises(OracleCapacityError):
             bf_invariant(ColoredGraph(11))
 
+    def test_auto_limit_hits_counted(self):
+        # every labeling of the empty graph on 10 vertices ties, so more
+        # automorphisms turn up than the search keeps
+        g = ColoredGraph(10)
+        stats = RunStats()
+        code, _ = minimum_encoding(g, stats=stats)
+        assert stats.auto_limit_hits > 0
+        assert code == minimum_encoding(g)[0] == encode(g)
+        backend_stats = RunStats()
+        BruteForceBackend().code(g, backend_stats)
+        assert backend_stats.auto_limit_hits == stats.auto_limit_hits
+
+    def test_auto_limit_not_reached_on_smaller_graph(self):
+        stats = RunStats()
+        minimum_encoding(ColoredGraph(9), stats=stats)
+        assert stats.auto_limit_hits == 0
+
     def test_minimum_achieved_by_labeling(self):
         g = ColoredGraph(4, [(1, 2), (2, 3), (3, 4)], {2: {5}})
         code, labeling = minimum_encoding(g)

@@ -19,7 +19,7 @@ from graphcanon import (
     mark_separating_sequences,
     wl1_refine,
 )
-from graphcanon import invariant
+from graphcanon import invariant, separator
 from graphcanon.invariant import BruteForceBackend, Wl1Backend
 from graphcanon.parallel import FALLBACK, INVARIANT_FAILURE, Diagnostic, RunStats
 from graphcanon.separator import SeparatorRun
@@ -63,6 +63,33 @@ def flaps_by_two_step_induction(graph, sequence, depth, run):
             colors[local] = fgraph.color_set(local) | {base + offset}
         flaps.append((ColoredGraph(fgraph.n, fgraph.edges, colors), origin))
     return flaps
+
+
+def count_separator_work(monkeypatch):
+    """Record every ColoredGraph.components and separator.is_separator call."""
+    walks, tests = [], []
+    components, is_sep = ColoredGraph.components, separator.is_separator
+
+    def counting_components(self, *args, **kwargs):
+        walks.append(self.n)
+        return components(self, *args, **kwargs)
+
+    def counting_is_separator(*args, **kwargs):
+        tests.append(1)
+        return is_sep(*args, **kwargs)
+
+    monkeypatch.setattr(ColoredGraph, "components", counting_components)
+    monkeypatch.setattr(separator, "is_separator", counting_is_separator)
+    return walks, tests
+
+
+def separating_sequences_by_definition(g, r):
+    return sorted(
+        perm
+        for combo in itertools.combinations(g.vertices, r)
+        if is_separator(g, combo)
+        for perm in itertools.permutations(combo)
+    )
 
 
 class TestIsSeparator:
@@ -119,6 +146,15 @@ class TestMarkSeparatingSequences:
         assert seqs == sorted(seqs)
         assert all(len(set(s)) == 2 for s in seqs)
 
+    def test_r_zero_refused(self, two_triangles):
+        # the empty set separates two triangles, yet r=0 is no sequence length
+        with pytest.raises(ContractViolationError):
+            mark_separating_sequences(two_triangles, 0)
+
+    def test_negative_r_refused(self, p3):
+        with pytest.raises(ContractViolationError):
+            mark_separating_sequences(p3, -1)
+
 
 class TestDecomposeFlaps:
     def test_p3_flap_pattern_colors(self, p3):
@@ -152,6 +188,22 @@ class TestDecomposeFlaps:
         run = SeparatorRun(1, 3, BF)
         with pytest.raises(ContractViolationError):
             decompose_flaps(p3, (1,), 1, run)
+
+    def test_rejects_repeated_vertices(self, p3):
+        run = SeparatorRun(2, 6, BF)
+        with pytest.raises(ContractViolationError):
+            decompose_flaps(p3, (2, 2), 1, run)
+
+    def test_rejects_foreign_vertices(self, p3):
+        run = SeparatorRun(1, 3, BF)
+        with pytest.raises(ContractViolationError):
+            decompose_flaps(p3, (9,), 1, run)
+
+    def test_one_component_walk(self, monkeypatch):
+        walks, tests = count_separator_work(monkeypatch)
+        star = gen_family("star", n=5)
+        decompose_flaps(star, (1,), 1, SeparatorRun(1, 3, BF))
+        assert (len(walks), len(tests)) == (1, 0)
 
     def test_pattern_colors_disjoint_across_depths(self):
         # depth-d pattern colors live in ((d-1)W + r, dW], so depths never collide
@@ -356,6 +408,13 @@ def test_no_separator_scope_form_invariant_regression(backend):
     assert find_isomorphism(g, h, 2, backend) is not None
 
 
+def test_fallback_counts_auto_limit_hits():
+    # K10 has no separating vertex; its minimum encoding ties every labeling
+    stats = RunStats()
+    canon_separator(complete_graph(10), 1, WL1, stats=stats)
+    assert stats.had_fallback and stats.auto_limit_hits > 0
+
+
 def test_no_separator_above_oracle_cap_refuses():
     with pytest.raises(OracleCapacityError):
         canon_separator(complete_graph(11), 1, WL1)
@@ -427,6 +486,56 @@ def test_separator_choice_equals_reference_rule(backend):
             assert [lab[v] for v in chosen] == list(range(1, r + 1)), (seed, r)
             checked += 1
     assert checked >= 40
+
+
+def every_labeled_graph(max_n):
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            yield ColoredGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def test_separating_sequences_equal_definition_on_every_small_graph():
+    graphs = 0
+    for g in every_labeled_graph(5):
+        for r in range(1, g.n + 2):
+            assert mark_separating_sequences(g, r) == separating_sequences_by_definition(g, r)
+        graphs += 1
+    assert graphs == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+def test_separating_sequences_equal_definition_on_seeded_gnp():
+    disconnected = isolated = 0
+    for seed in range(200):
+        n = 6 + seed % 9
+        g = gen_family("random_gnp", n=n, p=0.05 + 0.05 * (seed % 8), seed=seed)
+        disconnected += not g.is_connected()
+        isolated += any(g.degree(v) == 0 for v in g.vertices)
+        for r in (1, 2, 3):
+            assert mark_separating_sequences(g, r) == separating_sequences_by_definition(g, r)
+    assert disconnected >= 50 and isolated >= 50
+
+
+BENCH_SCOPES = (
+    (lambda: gen_family("tree", n=200, seed=1), 1),
+    (lambda: gen_family("k_tree", n=40, k=2, seed=1), 3),
+)
+
+
+@pytest.mark.parametrize("make,r", BENCH_SCOPES, ids=["tree200-r1", "2tree40-r3"])
+def test_separating_sequences_equal_definition_on_large_scopes(make, r):
+    g = make()
+    seqs = mark_separating_sequences(g, r)
+    assert seqs and seqs == separating_sequences_by_definition(g, r)
+
+
+@pytest.mark.parametrize("make,r", BENCH_SCOPES, ids=["tree200-r1", "2tree40-r3"])
+def test_separating_sequences_walk_no_component_per_set(monkeypatch, make, r):
+    # one component walk per r-set would be 200 and 9,880 calls here
+    g = make()
+    walks, tests = count_separator_work(monkeypatch)
+    assert mark_separating_sequences(g, r)
+    assert walks == [] and tests == []
 
 
 def test_key_refinement_only_above_two_sequences(monkeypatch):
