@@ -13,11 +13,10 @@ from .embedding import RotationSystem, rotation_violation
 
 
 def _ascii_lines(data) -> list[str]:
-    if isinstance(data, str):
-        data = data.encode("ascii", errors="strict")
     try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
+        text = data if isinstance(data, str) else data.decode("ascii")
+        text.encode("ascii")
+    except UnicodeError as exc:
         raise FormatError(f"document is not ASCII: {exc}") from None
     if not text.endswith("\n"):
         raise FormatError("document must end with a newline")
@@ -200,7 +199,10 @@ def graph6_loads(data) -> ColoredGraph:
     s = data.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    raw = s.encode("ascii")
+    try:
+        raw = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"graph6 data is not ASCII: {exc}") from None
     if not raw:
         raise FormatError("empty graph6 string")
     if any(not 63 <= b <= 126 for b in raw):

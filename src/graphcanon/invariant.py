@@ -4,81 +4,223 @@ Every backend maps a colored graph to a CanonicalCode and returns equal codes on
 isomorphic inputs. Only the brute-force backend is complete on all colored
 graphs; the WL backends are complete on restricted classes only, and the
 canonizers treat that as an assumption to be checked, not a guarantee.
+
+wl1 is one worklist partition-refinement engine (Berkholz, Bonsma & Grohe,
+arXiv:1509.08251; the trace follows nauty's, McKay & Piperno,
+arXiv:1301.1493). It keeps an ordered partition of the vertices. Splitters
+are taken from the worklist in cell-position order; a splitter splits every
+cell it touches by the number of edges into it, into pieces of descending
+count. A split cell that waits in the worklist is replaced there by all its
+pieces, and one already processed queues all its pieces but the largest. No
+step looks at vertex names, so the ordered partition and the trace are
+label-independent.
+
+The code is that trace: the initial color table (color set and size per
+cell, in order), then per splitter its position and, per touched cell, its
+position and the count and size of each piece. It fixes the quotient counts
+between the stable cells and their colors, which is all that rounds of color
+refinement can see, so two graphs get equal codes exactly when color
+refinement does not tell them apart.
+
+A restart begins at the stable partition of a scope and splits off the
+vertices of each fresh color, in color order, as if the color were a
+splitter; then it refines as usual. This is sound because refinement is
+monotone. Let P be the scope's stable partition, the coarsest equitable
+partition finer than its color classes, and Q the partition P with the
+fresh colors split off. The recolored scope's stable partition S is
+equitable and finer than the scope's color classes, so it is finer than P;
+it separates the fresh colors, so it is finer than Q. Q is finer than the
+recolored scope's color classes, so the coarsest equitable partition finer
+than Q is S, the one refinement from scratch reaches. A restart code starts
+with the fresh colors in place of the color table; it is label-independent
+given the scope, so restart codes compare among recolorings of one scope.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from collections import Counter
+from heapq import heappop, heappush
+from operator import itemgetter
 
-from .errors import BackendCapacityError, OracleCapacityError
+from .errors import BackendCapacityError, InvalidGraphError, OracleCapacityError
 from .graph import CanonicalCode, ColoredGraph, encoded_length, resolve_cap
 from .mincode import minimum_encoding
 
 
-def _renumber(signatures: dict):
-    """Canonical class ids by sorted signature, plus the (signature, count) table."""
-    uniq = sorted(set(signatures.values()))
-    ids = {s: i for i, s in enumerate(uniq)}
-    counts = Counter(signatures.values())
-    table = tuple((s, counts[s]) for s in uniq)
-    return {x: ids[s] for x, s in signatures.items()}, table
-
-
-def _refine(sig: dict, step, round_cap: int | None, stats):
-    """The refinement loop shared by wl1_refine and wlk_refine.
-
-    Renumbers the initial signatures, then applies `step` (coloring to next
-    signatures) until a round is stable or `round_cap` rounds ran. Each next
-    signature starts with the element's own class, so a round only splits
-    classes, and it is stable exactly when the class count stays the same.
-    Returns the final coloring and the repr of every round's table.
-    """
-    coloring, table = _renumber(sig)
-    tables = [table]
-    while round_cap is None or len(tables) <= round_cap:
-        coloring, table = _renumber(step(coloring))
-        tables.append(table)
-        if len(table) == len(tables[-2]):
-            break
-    if stats is not None:
-        stats.note_wl_rounds(len(tables) - 1)
-    return coloring, repr(tuple(tables)).encode("ascii")
-
-
-def wl1_refine(graph: ColoredGraph, round_cap: int | None = None, stats=None):
+def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
     """Stable color-refinement partition and a label-independent code.
 
-    Round 0 classes come from the vertex color sets; each later round refines by
-    (own class, sorted multiset of neighbor classes), renumbered by sorted
-    signature so class ids never depend on the input labeling. The code
-    serializes every round's signature table; anchoring round 0 in the literal
-    color sets keeps the codes comparable across different graphs.
+    Returns the stable coloring (vertex -> end position of its cell in the
+    ordered partition) and the trace code (see the module docstring). From
+    scratch, the initial cells are the vertices of equal color set, ordered
+    by color set. Given `partition`, the stable coloring of `graph` as
+    returned here, and `fresh` (vertex -> colors above every color of
+    `graph`), it restarts from that partition instead. The result is then
+    the stable partition of `graph` with the fresh colors added, and the code
+    compares only with restart codes of the same `graph` and `partition`.
     """
-    verts = list(graph.vertices)
+    n = graph.n
+    neighbors = graph.neighbors
+    # A cell is the run lab[e - size[e]:e] and is named by its end e, which
+    # its untouched vertices keep when it splits.
+    cell = [0] * (n + 1)  # vertex -> end of its cell
+    size = [0] * (n + 1)  # end of a cell -> its size
+    pos = [0] * (n + 1)  # vertex -> position in lab
+    count = [0] * (n + 1)  # vertex -> edges into the current splitter
+    queued = [False] * (n + 1)  # end of a cell -> waits in the worklist
+    worklist: list[int] = []
+    trace = array("I")
 
-    def step(coloring):
-        return {
-            v: (coloring[v], tuple(sorted(coloring[u] for u in graph.neighbors(v))))
-            for v in verts
-        }
+    def split(e: int, touched: list):
+        """Split cell e by `count`, given its vertices with a non-zero count.
 
-    sig = {v: tuple(sorted(graph.color_set(v))) for v in verts}
-    coloring, tables = _refine(sig, step, round_cap, stats)
-    return coloring, CanonicalCode(b"wl1\n" + tables)
+        The pieces come in descending count: the touched vertices move to the
+        front of the cell, sorted, and the untouched ones keep the back and
+        the name e. If e waits in the worklist, every new piece joins it;
+        otherwise every piece but the first largest does, since the counts
+        into the largest follow from those into e and into the other pieces.
+        """
+        s, k = size[e], len(touched)
+        c = count[touched[0]]
+        mixed = False
+        for w in touched:
+            if count[w] != c:
+                mixed = True
+                break
+        if k == s and not mixed:
+            trace.extend((e, 1, c, s))
+            return
+        p = t = e - s
+        for w in touched:  # move the touched vertices before the untouched
+            q, x = pos[w], lab[t]
+            lab[q] = x
+            pos[x] = q
+            t += 1
+        if mixed:
+            touched.sort(key=count.__getitem__, reverse=True)
+        lab[p:t] = touched
+        pieces = []  # (end, size, count)
+        c = count[touched[0]]
+        for i, w in enumerate(touched, p):
+            pos[w] = i
+            if count[w] != c:
+                pieces.append((i, i - p, c))
+                p, c = i, count[w]
+        pieces.append((t, t - p, c))
+        if k < s:
+            pieces.append((e, s - k, 0))
+        trace.extend((e, len(pieces)))
+        for q, m, c in pieces:
+            trace.extend((c, m))
+            size[q] = m
+            if q != e:
+                for w in lab[q - m:q]:
+                    cell[w] = q
+        if not queued[e]:
+            pieces.remove(max(pieces, key=itemgetter(1)))
+        for q, _, _ in pieces:
+            if not queued[q]:
+                queued[q] = True
+                heappush(worklist, q)
+
+    def split_cells(touched):
+        """Split every cell holding a touched vertex, in position order, then
+        reset the counts."""
+        by_cell: dict = {}
+        for w in touched:
+            e = cell[w]
+            if e in by_cell:
+                by_cell[e].append(w)
+            else:
+                by_cell[e] = [w]
+        trace.append(len(by_cell))
+        for e in sorted(by_cell):
+            if size[e] == 1:
+                trace.extend((e, 1, count[by_cell[e][0]], 1))
+            else:
+                split(e, by_cell[e])
+        for w in touched:
+            count[w] = 0
+
+    if partition is None:
+        if fresh:
+            raise ValueError("fresh colors need the stable partition to restart from")
+        groups: dict = {}
+        colors = graph.colors
+        for v in graph.vertices:
+            key = tuple(sorted(colors[v])) if v in colors else ()
+            if key in groups:
+                groups[key].append(v)
+            else:
+                groups[key] = [v]
+        table = tuple((cs, len(groups[cs])) for cs in sorted(groups))
+        head = b"wl1\n" + repr(table).encode("ascii")
+        lab = []
+        for cs, m in table:
+            lab.extend(groups[cs])
+            e = len(lab)
+            for v in groups[cs]:
+                cell[v] = e
+            size[e] = m
+            queued[e] = True
+            worklist.append(e)  # ascending, hence already a heap
+        for i, v in enumerate(lab):
+            pos[v] = i
+    else:
+        lab = sorted(partition, key=partition.__getitem__)
+        for i, v in enumerate(lab):
+            e = partition[v]
+            cell[v] = e
+            size[e] += 1
+            pos[v] = i
+        by_color: dict = {}
+        for v, cs in (fresh or {}).items():
+            if not 1 <= v <= n:
+                raise InvalidGraphError(f"colored vertex {v} outside 1..{n}")
+            for c in cs:
+                by_color.setdefault(c, set()).add(v)
+        colors = sorted(by_color)
+        head = b"wl1+\n" + repr(tuple(colors)).encode("ascii")
+        for c in colors:  # split off each fresh color as a splitter would
+            touched = list(by_color[c])
+            for w in touched:
+                count[w] = 1
+            split_cells(touched)
+
+    while worklist:
+        s = heappop(worklist)
+        queued[s] = False
+        touched = []
+        for u in lab[s - size[s]:s]:
+            for w in neighbors(u):
+                if count[w]:
+                    count[w] += 1
+                else:
+                    count[w] = 1
+                    touched.append(w)
+        trace.append(s)
+        split_cells(touched)
+
+    if sys.byteorder == "little":
+        trace.byteswap()  # big-endian, so byte order is numeric order
+    coloring = dict(zip(graph.vertices, cell[1:]))
+    return coloring, CanonicalCode(head + b"\n" + trace.tobytes())
 
 
-def sequence_keys(graph: ColoredGraph, sequences) -> list:
+def sequence_keys(classes: dict, sequences) -> list:
     """Per sequence, the tuple of its vertices' stable wl1 classes.
 
-    Class ids come from sorted signatures, so the keys are label-independent
-    and any filter or order on them is isomorphism-invariant. This is
-    target-cell selection (McKay & Piperno, Practical graph isomorphism II,
-    2014): the separator recursion codes only its minimal-key candidates, and
-    rigidity probes its candidates in key order. The refinement is not a
-    backend code and is not counted as one.
+    `classes` is a stable coloring from wl1_refine. Class ids are cell
+    positions of a label-independent ordered partition, so the keys are
+    label-independent and any filter or order on them is
+    isomorphism-invariant. This is target-cell selection (McKay & Piperno,
+    Practical graph isomorphism II, 2014): the separator recursion codes only
+    its minimal-key candidates, and rigidity probes its candidates in key
+    order. The refinement is not a backend code and is not counted as one.
     """
-    classes, _ = wl1_refine(graph)
     return [tuple(classes[v] for v in seq) for seq in sequences]
 
 
@@ -97,7 +239,9 @@ def wlk_refine(
     Tuples start from their ordered isomorphism type (coordinate equalities,
     pairwise adjacency, coordinate color sets) and are refined by the multiset,
     over all substitution targets w, of the joint vector of classes of the k
-    one-coordinate substitutions. The code is built like wl1_refine's.
+    one-coordinate substitutions, in rounds until a round splits no class or
+    `round_cap` rounds ran. Class ids are renumbered by sorted signature each
+    round, and the code is the repr of every round's (signature, count) table.
     """
     if k < 2:
         raise ValueError("wlk_refine requires k >= 2; use wl1_refine for k = 1")
@@ -125,9 +269,28 @@ def wlk_refine(
             nxt[t] = (coloring[t], tuple(sorted(subs)))
         return nxt
 
+    def renumber(signatures: dict):
+        """Class ids by sorted signature, and the (signature, count) table."""
+        uniq = sorted(set(signatures.values()))
+        ids = {sig: i for i, sig in enumerate(uniq)}
+        counts = Counter(signatures.values())
+        return {t: ids[sig] for t, sig in signatures.items()}, tuple(
+            (sig, counts[sig]) for sig in uniq
+        )
+
     tuples = list(itertools.product(verts, repeat=k))
-    _, tables = _refine({t: initial(t) for t in tuples}, step, round_cap, stats)
-    return CanonicalCode(f"wl{k}\n".encode("ascii") + tables)
+    coloring, table = renumber({t: initial(t) for t in tuples})
+    tables = [table]
+    while round_cap is None or len(tables) <= round_cap:
+        # each signature starts with the tuple's own class, so a round only
+        # splits classes, and it is stable exactly when the class count stays
+        coloring, table = renumber(step(coloring))
+        tables.append(table)
+        if len(table) == len(tables[-2]):
+            break
+    if stats is not None:
+        stats.note_wl_rounds(len(tables) - 1)
+    return CanonicalCode(f"wl{k}\n".encode("ascii") + repr(tuple(tables)).encode("ascii"))
 
 
 def bf_invariant(graph: ColoredGraph, cap: int | None = None, stats=None) -> CanonicalCode:
@@ -140,19 +303,36 @@ def bf_invariant(graph: ColoredGraph, cap: int | None = None, stats=None) -> Can
 
 
 class InvariantBackend:
-    """An invariant as a reusable object: equal codes on isomorphic colored graphs."""
+    """An invariant as a reusable object: equal codes on isomorphic colored graphs.
+
+    `codes` and `argmin` code recolorings of one scope: each coloring maps
+    vertices to extra colors, all above the scope's colors. `partition`, the
+    scope's stable wl1 coloring (wl1_refine), lets wl1 restart from it; the
+    other backends ignore it and code `scope.with_extra_colors(coloring)`.
+    """
 
     name = "?"
 
     def code(self, graph: ColoredGraph, stats=None) -> CanonicalCode:
         raise NotImplementedError
 
-    def argmin(self, graphs, stats=None) -> int:
-        """Index of the graph with the smallest code; the first index wins ties.
-        A single graph is not coded."""
-        if len(graphs) == 1:
+    def code_and_partition(self, graph: ColoredGraph, stats=None):
+        """The code, and the stable wl1 coloring when coding computed it
+        (wl1 only; None otherwise)."""
+        return self.code(graph, stats), None
+
+    def codes(self, scope: ColoredGraph, colorings, partition=None, stats=None) -> list:
+        """Per coloring, a code of the recolored scope; the codes compare with
+        each other, and equal ones mean the invariant cannot tell the two
+        recolorings apart."""
+        return [self.code(scope.with_extra_colors(c), stats) for c in colorings]
+
+    def argmin(self, scope: ColoredGraph, colorings, partition=None, stats=None) -> int:
+        """Index of the coloring with the smallest code; the first index wins
+        ties. A single coloring is not coded."""
+        if len(colorings) == 1:
             return 0
-        codes = [self.code(g, stats) for g in graphs]
+        codes = self.codes(scope, colorings, partition, stats)
         return min(range(len(codes)), key=codes.__getitem__)
 
     def __call__(self, graph: ColoredGraph) -> CanonicalCode:
@@ -163,16 +343,29 @@ class InvariantBackend:
 
 
 class Wl1Backend(InvariantBackend):
+    """Color refinement. Recolorings restart from the scope's stable
+    partition, which is refined from scratch when it is not given."""
+
     name = "wl1"
 
-    def __init__(self, round_cap: int | None = None):
-        self.round_cap = round_cap
-
     def code(self, graph, stats=None):
+        return self.code_and_partition(graph, stats)[0]
+
+    def code_and_partition(self, graph, stats=None):
         if stats is not None:
             stats.count_invariant()
-        _, c = wl1_refine(graph, self.round_cap, stats=stats)
-        return c
+        classes, code = wl1_refine(graph)
+        return code, classes
+
+    def codes(self, scope, colorings, partition=None, stats=None):
+        if partition is None:
+            partition, _ = wl1_refine(scope)
+        out = []
+        for coloring in colorings:
+            if stats is not None:
+                stats.count_invariant()
+            out.append(wl1_refine(scope, fresh=coloring, partition=partition)[1])
+        return out
 
 
 class WlkBackend(InvariantBackend):
@@ -208,20 +401,23 @@ class BruteForceBackend(InvariantBackend):
         code, _ = minimum_encoding(graph, self.cap, prune_above=bound, stats=stats)
         return code
 
-    def argmin(self, graphs, stats=None) -> int:
+    def argmin(self, scope, colorings, partition=None, stats=None) -> int:
         """As InvariantBackend.argmin, by a scan that threads a running bound
-        through the candidates, which prunes most of them outright. Raw-byte
-        bounds equal the code order only at one encoded length, hence the guard.
-        Every graph is checked against the cap first, so a graph above it is
-        refused even where it would not be coded."""
+        through the recolored scopes, which prunes most of them outright.
+        Raw-byte bounds equal the code order only at one encoded length, hence
+        the guard. The scope is checked against the cap first, so it is
+        refused even where no coloring would be coded."""
         limit = resolve_cap(self.cap)
-        for g in graphs:
-            if g.n > limit:
-                raise OracleCapacityError(
-                    f"brute-force invariant capped at n <= {limit}, got n = {g.n}"
-                )
-        if len(graphs) < 2 or len({encoded_length(g) for g in graphs}) > 1:
-            return super().argmin(graphs, stats)
+        if scope.n > limit:
+            raise OracleCapacityError(
+                f"brute-force invariant capped at n <= {limit}, got n = {scope.n}"
+            )
+        if len(colorings) == 1:
+            return 0
+        graphs = [scope.with_extra_colors(c) for c in colorings]
+        if len({encoded_length(g) for g in graphs}) > 1:
+            codes = [self.code(g, stats) for g in graphs]
+            return min(range(len(codes)), key=codes.__getitem__)
         best, bound = None, None
         for i, g in enumerate(graphs):
             code = self.code_bounded(g, bound, stats)
@@ -236,10 +432,11 @@ def backend_from_selector(
     tuple_cap: int | None = None,
     round_cap: int | None = None,
 ) -> InvariantBackend:
-    """Parse the backend grammar: `wl1`, `wlk:<k>`, or `bf`."""
+    """Parse the backend grammar: `wl1`, `wlk:<k>`, or `bf`. `round_cap`
+    bounds wlk's rounds; wl1 has no rounds."""
     text = selector.strip()
     if text == "wl1":
-        return Wl1Backend(round_cap)
+        return Wl1Backend()
     if text.startswith("wlk:"):
         try:
             k = int(text[4:])

@@ -10,7 +10,8 @@ Sequences are probed in an isomorphism-invariant order: by key, the tuple of
 their vertices' stable wl1 classes, and within one key by the code of their
 individualized coloring; the first fixing one is chosen. Only a key shared by
 several sequences needs those codes, so on a graph that refinement makes
-discrete no sequence is coded at all.
+discrete no sequence is coded at all. The stable partition behind the keys is
+computed once; under wl1 every sequence and probe code restarts from it.
 
 The base b is one above the graph's largest input color (b = 1 on an
 uncolored graph), so an individualization color never aliases an input color.
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 
 from .errors import ContractViolationError, InvariantFailureError
 from .graph import ColoredGraph, Labeling
+from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
 from .invariant import BruteForceBackend, InvariantBackend, sequence_keys
 from .mincode import minimum_encoding
 from .oracles import automorphisms, pointwise_fixed
-from .parallel import FALLBACK, RunStats, parallel_map
+from .parallel import FALLBACK, RunStats, parallel_map  # noqa: F401  (perfbench traces it here)
 
 
 @dataclass(frozen=True)
@@ -44,14 +46,26 @@ def _color_base(graph: ColoredGraph) -> int:
     return graph.top_color() + 1
 
 
-def individualize(graph: ColoredGraph, sequence) -> ColoredGraph:
-    """Color b+i-1 added onto the i-th sequence vertex, i = 1..r, where b is
-    one above the largest input color (so colors 1..r on an uncolored graph)."""
+def _sequence_colors(graph: ColoredGraph, sequence) -> dict:
+    """vertex -> [b+i-1] for the i-th sequence vertex, b as in individualize."""
     seq = tuple(sequence)
     if len(set(seq)) != len(seq):
         raise ContractViolationError("individualization sequence has repeated vertices")
     base = _color_base(graph)
-    return graph.with_extra_colors({v: [base + i] for i, v in enumerate(seq)})
+    return {v: [base + i] for i, v in enumerate(seq)}
+
+
+def _probe_colorings(graph: ColoredGraph, sequence) -> list:
+    """Per vertex v in order, the individualize_plus(graph, sequence, v) colors."""
+    colors = _sequence_colors(graph, sequence)
+    plus = _color_base(graph) + len(colors)
+    return [{**colors, v: colors.get(v, []) + [plus]} for v in graph.vertices]
+
+
+def individualize(graph: ColoredGraph, sequence) -> ColoredGraph:
+    """Color b+i-1 added onto the i-th sequence vertex, i = 1..r, where b is
+    one above the largest input color (so colors 1..r on an uncolored graph)."""
+    return graph.with_extra_colors(_sequence_colors(graph, sequence))
 
 
 def individualize_plus(graph: ColoredGraph, sequence, vertex: int) -> ColoredGraph:
@@ -59,18 +73,17 @@ def individualize_plus(graph: ColoredGraph, sequence, vertex: int) -> ColoredGra
 
     The vertex may itself belong to the sequence; color sets simply stack.
     """
-    seq = tuple(sequence)
-    plus = _color_base(graph) + len(seq)
-    return individualize(graph, seq).with_extra_colors({vertex: [plus]})
+    return graph.with_extra_colors(_probe_colorings(graph, sequence)[vertex - 1])
 
 
-def _probe(graph: ColoredGraph, sequence, backend: InvariantBackend, stats=None) -> FixingCandidate:
-    codes = {
-        v: backend.code(individualize_plus(graph, sequence, v), stats)
-        for v in graph.vertices
-    }
-    fixing = len(set(codes.values())) == graph.n
-    return FixingCandidate(tuple(sequence), codes, fixing)
+def _probe(
+    graph: ColoredGraph, sequence, backend: InvariantBackend, stats=None, partition=None
+) -> FixingCandidate:
+    """Code every per-vertex coloring of the sequence (individualize_plus);
+    `partition` is the graph's stable wl1 coloring, if known."""
+    codes = backend.codes(graph, _probe_colorings(graph, sequence), partition, stats)
+    fixing = len(set(codes)) == graph.n
+    return FixingCandidate(tuple(sequence), dict(zip(graph.vertices, codes)), fixing)
 
 
 def is_fixing_by_invariant(graph: ColoredGraph, sequence, backend: InvariantBackend) -> bool:
@@ -84,21 +97,23 @@ def is_fixing_bf(graph: ColoredGraph, vertex_set, cap: int | None = None) -> boo
     return not pointwise_fixed(group, set(vertex_set))
 
 
-def _probe_order(graph: ColoredGraph, r: int, backend: InvariantBackend, stats):
+def _probe_order(graph: ColoredGraph, r: int, backend: InvariantBackend, stats, partition):
     """Every r-sequence, in the order canon_rigidity probes them.
 
-    Sequences are grouped by key (sequence_keys) and the groups come in key
-    order. A group of one sequence is not coded; a larger group is coded
-    when it is reached and yields in (code, lexicographic order).
+    Sequences are grouped by key (sequence_keys over `partition`, the graph's
+    stable wl1 coloring) and the groups come in key order. A group of one
+    sequence is not coded; a larger group is coded when it is reached and
+    yields in (code, lexicographic order).
     """
     sequences = list(itertools.permutations(graph.vertices, r))
     groups: dict = {}
-    for seq, key in zip(sequences, sequence_keys(graph, sequences)):
+    for seq, key in zip(sequences, sequence_keys(partition, sequences)):
         groups.setdefault(key, []).append(seq)
     for key in sorted(groups):
         group = groups[key]
         if len(group) > 1:
-            codes = parallel_map(lambda s: backend.code(individualize(graph, s), stats), group)
+            colorings = [_sequence_colors(graph, s) for s in group]
+            codes = backend.codes(graph, colorings, partition, stats)
             # sorted() is stable and permutations() is lexicographic, so among
             # tied codes the lexicographically first sequence comes first
             group = [group[i] for i in sorted(range(len(group)), key=codes.__getitem__)]
@@ -126,8 +141,9 @@ def canon_rigidity(
     """
     stats = stats if stats is not None else RunStats(workers)
     stats.observe_depth(1)
-    for seq in _probe_order(graph, r, backend, stats):
-        best = _probe(graph, seq, backend, stats)
+    partition, _ = invariant.wl1_refine(graph)
+    for seq in _probe_order(graph, r, backend, stats, partition):
+        best = _probe(graph, seq, backend, stats, partition)
         if best.fixing:
             break
     else:

@@ -7,6 +7,8 @@ whose individualized coloring minimizes the invariant, puts the sequence
 vertices first, splits the rest into flaps colored by their adjacency pattern
 toward the separator, orders flap blocks by their invariant codes, and
 recurses (or solves flaps of at most r vertices by trying every bijection).
+A flap's wl1 code comes with its stable partition, which its own scope then
+uses for its keys and for the candidate codes, which restart from it.
 
 Let b be the root graph's largest input color (0 on an uncolored graph) and
 W = 2^r + r. Colors introduced at depth d live in the block
@@ -32,6 +34,7 @@ from .graph import (
     encode,
     resolve_cap,
 )
+from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
 from .invariant import InvariantBackend, sequence_keys
 from .mincode import minimum_encoding
 from .parallel import FALLBACK, INVARIANT_FAILURE, RunStats, parallel_map
@@ -159,10 +162,13 @@ def canon_separator(
     return Labeling.from_position_order(order)
 
 
-def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats):
+def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition=None):
+    """The scope's vertices in canonical order. `partition` is the scope's
+    stable wl1 coloring when its flap code computed it; otherwise it is
+    refined here only if the keys or a wl1 argmin need it."""
     stats.observe_depth(depth)
     if scope.n <= run.r:
-        return _base_case(scope, run, stats)
+        return _base_case(scope, run, stats, partition)
     sequences = mark_separating_sequences(scope, run.r)
     if not sequences:
         stats.diagnose(
@@ -176,18 +182,18 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats):
         return list(labeling.inverse())
 
     if len(sequences) > 2:
-        keys = sequence_keys(scope, sequences)
+        if partition is None:
+            partition, _ = invariant.wl1_refine(scope)
+        keys = sequence_keys(partition, sequences)
         least = min(keys)
         sequences = [s for s, k in zip(sequences, keys) if k == least]
     base = run.color_base + (depth - 1) * run.block_width
-    individualized = [
-        scope.with_extra_colors({v: [base + i + 1] for i, v in enumerate(seq)})
-        for seq in sequences
-    ]
-    chosen = sequences[run.backend.argmin(individualized, stats)]
+    colorings = [{v: [base + i + 1] for i, v in enumerate(seq)} for seq in sequences]
+    chosen = sequences[run.backend.argmin(scope, colorings, partition, stats)]
 
     flaps = decompose_flaps(scope, chosen, depth, run)
-    flap_codes = parallel_map(lambda fl: run.backend.code(fl.graph, stats), flaps)
+    coded = parallel_map(lambda fl: run.backend.code_and_partition(fl.graph, stats), flaps)
+    flap_codes = [code for code, _ in coded]
     if run.check:
         _cross_check_flaps(flaps, flap_codes, depth, run, stats)
 
@@ -197,11 +203,11 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats):
     )
 
     def rank_flap(i: int):
-        flap = flaps[i]
+        flap, flap_partition = flaps[i], coded[i][1]
         if flap.graph.n > run.r:
-            local = _rank_scope(flap.graph, depth + 1, run, stats)
+            local = _rank_scope(flap.graph, depth + 1, run, stats, flap_partition)
         else:
-            local = _base_case(flap.graph, run, stats)
+            local = _base_case(flap.graph, run, stats, flap_partition)
         return [flap.origin[v] for v in local]
 
     child_orders = parallel_map(rank_flap, blocks)
@@ -211,18 +217,15 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats):
     return order
 
 
-def _base_case(scope: ColoredGraph, run: SeparatorRun, stats):
+def _base_case(scope: ColoredGraph, run: SeparatorRun, stats, partition=None):
     """Scopes of at most r vertices: try every bijection tau, color each vertex
     with (largest color present) + tau(v), keep the code-minimal tau."""
     if scope.n == 0:
         return []
     top = scope.top_color()
     perms = list(itertools.permutations(range(1, scope.n + 1)))
-    candidates = [
-        scope.with_extra_colors({v: [top + perm[v - 1]] for v in scope.vertices})
-        for perm in perms
-    ]
-    chosen = perms[run.backend.argmin(candidates, stats)]
+    colorings = [{v: [top + perm[v - 1]] for v in scope.vertices} for perm in perms]
+    chosen = perms[run.backend.argmin(scope, colorings, partition, stats)]
     return sorted(scope.vertices, key=lambda v: chosen[v - 1])
 
 

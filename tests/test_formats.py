@@ -136,3 +136,21 @@ class TestGraph6:
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormatError):
             graph6_loads(bad)
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (cg_loads, "cg 1\nn \u00e9\n"),
+        (cg_loads, "cg 1\nn 1\nk 1 \u0663\n"),
+        (rs_loads, "rs 1\nn 1\nr 1:\u00a0\n"),
+        (graph6_loads, "D\u00e9c"),
+        (graph6_loads, ">>graph6<<\u2603"),
+    ],
+    ids=["cg-count", "cg-digit", "rs-space", "graph6-body", "graph6-header"],
+)
+def test_non_ascii_str_is_a_format_error(parse, text):
+    # str input is encoded to ASCII first; a non-ASCII character there is
+    # malformed input, not a UnicodeEncodeError
+    with pytest.raises(FormatError):
+        parse(text)

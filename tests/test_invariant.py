@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from graphcanon import (
     Labeling,
     OracleCapacityError,
     Wl1Backend,
+    WlkBackend,
     apply_permutation,
     are_isomorphic_bf,
     backend_from_selector,
@@ -30,7 +32,12 @@ from graphcanon import (
 from graphcanon.invariant import sequence_keys
 from graphcanon.parallel import RunStats
 
-from .conftest import complete_graph, path_graph
+from .conftest import (
+    complete_graph,
+    count_scratch_refinements,
+    every_labeled_graph,
+    path_graph,
+)
 from .test_graph import permutations_of, small_colored_graphs
 
 
@@ -43,6 +50,44 @@ def partition_of(coloring):
 
 def refines(fine, coarse):
     return all(any(f <= c for c in coarse) for f in fine)
+
+
+def renumber(signatures):
+    """Class ids by sorted signature, and the (signature, count) table."""
+    uniq = sorted(set(signatures.values()))
+    ids = {sig: i for i, sig in enumerate(uniq)}
+    counts = Counter(signatures.values())
+    return {x: ids[sig] for x, sig in signatures.items()}, tuple(
+        (sig, counts[sig]) for sig in uniq
+    )
+
+
+def reference_wl1(graph):
+    """Round-based color refinement, the reference for wl1_refine: round 0
+    classes are the color sets, each later round refines by (own class,
+    sorted neighbor classes), and the code is every round's signature table.
+    Returns the stable coloring and the code."""
+    verts = list(graph.vertices)
+    coloring, table = renumber({v: tuple(sorted(graph.color_set(v))) for v in verts})
+    tables = [table]
+    while True:
+        coloring, table = renumber(
+            {
+                v: (coloring[v], tuple(sorted(coloring[u] for u in graph.neighbors(v))))
+                for v in verts
+            }
+        )
+        tables.append(table)
+        if len(table) == len(tables[-2]):
+            return coloring, repr(tuple(tables))
+
+
+def assert_same_equivalence(codes, reference):
+    """codes[i] == codes[j] exactly when reference[i] == reference[j]."""
+    forward, backward = {}, {}
+    for code, ref in zip(codes, reference):
+        assert forward.setdefault(code, ref) == ref
+        assert backward.setdefault(ref, code) == code
 
 
 class TestWl1:
@@ -78,21 +123,25 @@ class TestWl1:
         assert wl1_refine(g)[1] == wl1_refine(h)[1]
 
     def test_monotone_refinement(self):
+        # an added color only splits stable classes, so the stable partition
+        # of every individualized copy refines the graph's own, and a restart
+        # with no fresh color keeps the stable partition as it is
         g = gen_family("tree", n=9, seed=3)
-        parts = []
-        for cap in range(0, 10):
-            coloring, _ = wl1_refine(g, round_cap=cap)
-            parts.append(partition_of(coloring))
-        for fine, coarse in zip(parts[1:], parts):
-            assert refines(fine, coarse)
-        assert parts[-1] == parts[-2]
+        coloring, _ = wl1_refine(g)
+        coarse = partition_of(coloring)
+        assert partition_of(wl1_refine(g, fresh={}, partition=coloring)[0]) == coarse
+        for v in g.vertices:
+            fine = partition_of(wl1_refine(g.with_extra_colors({v: [1]}))[0])
+            assert refines(fine, coarse) and frozenset({v}) in fine
 
     def test_round_count_at_most_n(self):
-        from graphcanon.parallel import RunStats
-
+        # wl1 works from a worklist and notes no rounds; wlk still counts its
+        # rounds, which stay within n on P8
         g = path_graph(8)
         stats = RunStats()
-        wl1_refine(g, stats=stats)
+        Wl1Backend().code(g, stats)
+        assert stats.wl_rounds == []
+        WlkBackend(2).code(g, stats)
         assert stats.wl_rounds and stats.wl_rounds[0] <= g.n
 
     def test_orbit_soundness_small_corpus(self):
@@ -105,6 +154,94 @@ class TestWl1:
             for orb in orbits(g):
                 classes = {coloring[v] for v in orb}
                 assert len(classes) == 1
+
+
+def seeded_graphs(sizes, seeds):
+    for n in sizes:
+        for seed in seeds:
+            yield gen_family("tree", n=n, seed=seed)
+            yield gen_family("random_gnp", n=n, p=min(0.5, 3.0 / n), seed=seed)
+            yield gen_family("partial_k_tree", n=n, k=2, seed=seed)
+
+
+class TestWl1Reference:
+    """The worklist engine against the round-based reference_wl1."""
+
+    def check(self, graphs):
+        codes, reference = [], []
+        for g in graphs:
+            coloring, code = wl1_refine(g)
+            ref_coloring, ref_code = reference_wl1(g)
+            assert partition_of(coloring) == partition_of(ref_coloring)
+            codes.append(code)
+            reference.append(ref_code)
+        assert_same_equivalence(codes, reference)
+        return len(set(reference))
+
+    def test_every_small_graph_and_precolored_copies(self):
+        graphs = []
+        for g in every_labeled_graph(5):
+            graphs.append(g)
+            if g.n:
+                graphs.append(g.with_extra_colors({1: [0]}))
+                graphs.append(g.with_extra_colors({v: [v % 3, 7] for v in g.vertices}))
+        assert len(graphs) == 1 + 3 * 1099
+        # many labeled graphs share a code, so equal codes are checked too
+        assert self.check(graphs) < len(graphs) // 5
+
+    def test_seeded_graphs_up_to_40_and_relabelings(self):
+        graphs = []
+        for i, g in enumerate(seeded_graphs((6, 10, 17, 25, 40), range(6))):
+            perm = list(range(1, g.n + 1))
+            perm = perm[i % g.n:] + perm[:i % g.n]
+            graphs += [g, apply_permutation(g, Labeling(perm[::-1]))]
+        assert self.check(graphs) <= len(graphs) // 2
+
+    def test_restart_matches_individualized_reference(self):
+        # every coloring the canonizers restart from: sequences with r <= 2,
+        # alone and with one more color on each vertex (in the sequence too)
+        graphs = list(every_labeled_graph(4))
+        graphs += list(seeded_graphs((5, 6, 7), range(4)))
+        graphs += [g.with_extra_colors({1: [0], 2: [0]}) for g in graphs if g.n >= 2]
+        checked = 0
+        for g in graphs:
+            classes, _ = wl1_refine(g)
+            b = g.top_color() + 1
+            colorings = []
+            for r in (1, 2):
+                for seq in itertools.permutations(g.vertices, r):
+                    marks = {v: [b + i] for i, v in enumerate(seq)}
+                    colorings.append(marks)
+                    colorings += [
+                        {**marks, v: marks.get(v, []) + [b + r]} for v in g.vertices
+                    ]
+            codes, reference = [], []
+            for marks in colorings:
+                coloring, code = wl1_refine(g, fresh=marks, partition=classes)
+                recolored = g.with_extra_colors(marks)
+                ref_coloring, ref_code = reference_wl1(recolored)
+                assert partition_of(coloring) == partition_of(wl1_refine(recolored)[0])
+                assert partition_of(coloring) == partition_of(ref_coloring)
+                codes.append(code)
+                reference.append(ref_code)
+            assert_same_equivalence(codes, reference)
+            checked += len(colorings)
+        assert checked > 10_000
+
+    def test_restart_codes_are_label_independent(self):
+        g = gen_family("random_gnp", n=8, p=0.35, seed=4)
+        lab = Labeling([4, 7, 1, 8, 2, 6, 3, 5])
+        h = apply_permutation(g, lab)
+        g_classes, h_classes = wl1_refine(g)[0], wl1_refine(h)[0]
+        for u, v in itertools.permutations(g.vertices, 2):
+            a = wl1_refine(g, fresh={u: [1], v: [2]}, partition=g_classes)
+            b = wl1_refine(h, fresh={lab[u]: [1], lab[v]: [2]}, partition=h_classes)
+            assert a[1] == b[1]
+            assert all(a[0][x] == b[0][lab[x]] for x in g.vertices)
+
+    def test_fresh_colors_need_a_partition(self, p3):
+        with pytest.raises(ValueError):
+            wl1_refine(p3, fresh={1: [1]})
 
 
 class TestWlk:
@@ -121,8 +258,6 @@ class TestWlk:
             g = gen_family("random_gnp", n=6, p=0.5, seed=seed)
             wl1_classes, _ = wl1_refine(g)
             # recompute the 2-tuple stable partition directly
-            from graphcanon.invariant import _renumber
-
             verts = list(g.vertices)
             pairs = [(i, j) for i in range(2) for j in range(i + 1, 2)]
             tuples = list(itertools.product(verts, repeat=2))
@@ -134,7 +269,7 @@ class TestWlk:
                 )
                 for t in tuples
             }
-            coloring, _ = _renumber(sig)
+            coloring, _ = renumber(sig)
             while True:
                 nxt = {
                     t: (
@@ -148,7 +283,7 @@ class TestWlk:
                     )
                     for t in tuples
                 }
-                refined, _ = _renumber(nxt)
+                refined, _ = renumber(nxt)
                 # refinement only splits classes, so equal counts mean stable
                 if len(set(refined.values())) == len(set(coloring.values())):
                     break
@@ -285,8 +420,8 @@ class TestBackendSelector:
         assert backend_from_selector("bf").code(p3) == bf_invariant(p3)
 
 
-def first_minimal_index(backend, graphs):
-    codes = [backend.code(g) for g in graphs]
+def first_minimal_index(backend, scope, colorings):
+    codes = backend.codes(scope, colorings)
     best = min(codes)
     assert codes.count(best) >= 2, "the case must contain a tie"
     return codes.index(best)
@@ -295,43 +430,55 @@ def first_minimal_index(backend, graphs):
 class TestArgmin:
     # P4 with one endpoint or one inner vertex marked: the two endpoint
     # markings tie, and so do the two inner ones
-    MARKED_P4 = [path_graph(4).with_extra_colors({v: [1]}) for v in (2, 4, 3, 1)]
+    P4 = path_graph(4)
+    MARKED_P4 = [{v: [1]} for v in (2, 4, 3, 1)]
 
     def test_wl1_first_index_wins_ties(self):
         backend = Wl1Backend()
-        graphs = self.MARKED_P4
-        assert backend.argmin(graphs) == first_minimal_index(backend, graphs)
-        assert backend.argmin(graphs[::-1]) == first_minimal_index(backend, graphs[::-1])
+        marks = self.MARKED_P4
+        assert backend.argmin(self.P4, marks) == first_minimal_index(backend, self.P4, marks)
+        rev = marks[::-1]
+        assert backend.argmin(self.P4, rev) == first_minimal_index(backend, self.P4, rev)
 
     def test_bf_bounded_path_first_index_wins_ties(self):
         backend = BruteForceBackend()
-        graphs = self.MARKED_P4
-        assert len({encoded_length(g) for g in graphs}) == 1
-        assert backend.argmin(graphs) == first_minimal_index(backend, graphs)
-        assert backend.argmin(graphs[::-1]) == first_minimal_index(backend, graphs[::-1])
+        marks = self.MARKED_P4
+        assert len({encoded_length(self.P4.with_extra_colors(c)) for c in marks}) == 1
+        assert backend.argmin(self.P4, marks) == first_minimal_index(backend, self.P4, marks)
+        rev = marks[::-1]
+        assert backend.argmin(self.P4, rev) == first_minimal_index(backend, self.P4, rev)
 
     def test_bf_mixed_length_path_first_index_wins_ties(self):
         backend = BruteForceBackend()
         # a two-digit color makes a longer, hence larger, code
-        graphs = [
-            path_graph(3).with_extra_colors({1: [10]}),
-            path_graph(3).with_extra_colors({3: [1]}),
-            path_graph(3).with_extra_colors({2: [1]}),
-            path_graph(3).with_extra_colors({1: [1]}),
-        ]
-        assert len({encoded_length(g) for g in graphs}) > 1
-        assert backend.argmin(graphs) == first_minimal_index(backend, graphs)
-        assert backend.argmin(graphs[::-1]) == first_minimal_index(backend, graphs[::-1])
+        p3 = path_graph(3)
+        marks = [{1: [10]}, {3: [1]}, {2: [1]}, {1: [1]}]
+        assert len({encoded_length(p3.with_extra_colors(c)) for c in marks}) > 1
+        assert backend.argmin(p3, marks) == first_minimal_index(backend, p3, marks)
+        rev = marks[::-1]
+        assert backend.argmin(p3, rev) == first_minimal_index(backend, p3, rev)
 
-    def test_single_graph_is_not_coded(self, p3):
+    def test_single_graph_is_not_coded(self, monkeypatch, p3):
+        scratch = count_scratch_refinements(monkeypatch)
         stats = RunStats()
-        assert Wl1Backend().argmin([p3], stats) == 0
-        assert stats.invariant_calls == 0
+        assert Wl1Backend().argmin(p3, [{1: [1]}], stats=stats) == 0
+        assert stats.invariant_calls == 0 and scratch == []
 
     def test_bf_single_graph_above_cap_refused(self):
-        # the lone graph is never coded, so only the up-front check refuses it
+        # the lone coloring is never coded, so only the up-front check refuses it
         with pytest.raises(OracleCapacityError):
-            BruteForceBackend().argmin([path_graph(11)])
+            BruteForceBackend().argmin(path_graph(11), [{1: [1]}])
+
+    def test_wl1_codes_restart_from_the_given_partition(self, monkeypatch):
+        g = gen_family("random_gnp", n=9, p=0.3, seed=2)
+        classes, _ = wl1_refine(g)
+        marks = [{v: [1]} for v in g.vertices]
+        scratch = count_scratch_refinements(monkeypatch)
+        stats = RunStats()
+        given = Wl1Backend().codes(g, marks, classes, stats)
+        assert scratch == [] and stats.invariant_calls == g.n
+        assert Wl1Backend().codes(g, marks) == given
+        assert scratch == [g]
 
 
 class TestSequenceKeys:
@@ -339,18 +486,18 @@ class TestSequenceKeys:
         p4 = path_graph(4)
         classes, _ = wl1_refine(p4)
         assert classes[1] == classes[4] != classes[2] == classes[3]
-        keys = sequence_keys(p4, [(1, 2), (2, 1), (4, 3)])
+        keys = sequence_keys(classes, [(1, 2), (2, 1), (4, 3)])
         end, inner = classes[1], classes[2]
         assert keys == [(end, inner), (inner, end), (end, inner)]
 
     def test_keys_follow_relabeling(self):
         g = gen_family("random_gnp", n=7, p=0.4, seed=3)
         seqs = list(itertools.permutations(g.vertices, 2))
-        keys = dict(zip(seqs, sequence_keys(g, seqs)))
+        keys = dict(zip(seqs, sequence_keys(wl1_refine(g)[0], seqs)))
         lab = Labeling([3, 5, 1, 7, 2, 4, 6])
         h = apply_permutation(g, lab)
         image = [(lab[a], lab[b]) for a, b in seqs]
-        assert sequence_keys(h, image) == [keys[s] for s in seqs]
+        assert sequence_keys(wl1_refine(h)[0], image) == [keys[s] for s in seqs]
 
 
 # Canonical forms of fixed seeded inputs under both canonizers. A refactor must
@@ -379,7 +526,7 @@ GOLDEN_CASES = (
     ("rigidity", "wl1", 3, "random_gnp", dict(n=6, p=0.5, seed=14)),
     ("rigidity", "bf", 3, "partial_k_tree", dict(n=5, k=2, seed=15)),
 )
-GOLDEN_DIGEST = "3ced435bd58391e64a45b7776d36112798e0709b1b7c569638c94819758c901d"
+GOLDEN_DIGEST = "0a049b7df9d29f6b60406d2a994073184aabe69871c2f6337a8420afbc1876fa"
 
 
 def golden_forms_digest():

@@ -23,6 +23,8 @@ from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
 from graphcanon.mincode import minimum_encoding
 from graphcanon.parallel import FALLBACK, Diagnostic, RunStats
 
+from .conftest import count_scratch_refinements
+
 BF = BruteForceBackend()
 
 
@@ -178,15 +180,18 @@ class TestCanonRigidity:
         with pytest.raises(ValueError):
             canon_rigidity(g, -3, Wl1Backend())
 
-    def test_call_budget_on_refinement_discrete_graph(self):
+    def test_call_budget_on_refinement_discrete_graph(self, monkeypatch):
         # refinement makes the graph discrete, so every sequence has its own
-        # key and none is coded; the first one probed is fixing, for n codes
+        # key and none is coded; the first one probed is fixing, for n codes,
+        # which restart from the one refinement behind the keys
         g = gen_family("random_gnp", n=18, p=0.2, seed=1)
         coloring, _ = wl1_refine(g)
         assert len(set(coloring.values())) == g.n
+        scratch = count_scratch_refinements(monkeypatch)
         stats = RunStats()
         canon_rigidity(g, 2, Wl1Backend(), stats=stats)
         assert stats.invariant_calls == 18
+        assert scratch == [g]
 
     def test_fallback_diagnostic_record(self, k3):
         stats = RunStats()
@@ -200,22 +205,26 @@ class TestCanonRigidity:
 def _eager_rigidity(graph, r, backend):
     """The eager rule on an uncolored graph: probe every r-sequence, then
     choose the fixing one of minimal (key, code, index), where the key is the
-    tuple of the sequence's stable wl1 classes. Returns the labeling and the
+    tuple of the sequence's stable wl1 classes. Codes are of the graph with
+    colors 1..r on the sequence (and r+1 on one more vertex in a probe), as
+    the backend codes recolorings of one scope. Returns the labeling and the
     diagnostics."""
     classes, _ = wl1_refine(graph)
     probes = []
     for s in itertools.permutations(graph.vertices, r):
-        codes = {v: backend.code(individualize_plus(graph, s, v)) for v in graph.vertices}
-        probes.append((s, codes, len(set(codes.values())) == graph.n))
+        marks = {v: [i + 1] for i, v in enumerate(s)}
+        plus = [{**marks, v: marks.get(v, []) + [r + 1]} for v in graph.vertices]
+        codes = dict(zip(graph.vertices, backend.codes(graph, plus, classes)))
+        probes.append((s, marks, codes, len(set(codes.values())) == graph.n))
     fixing = [
-        (tuple(classes[v] for v in s), backend.code(individualize(graph, s)), i)
-        for i, (s, _, ok) in enumerate(probes)
+        (tuple(classes[v] for v in s), backend.codes(graph, [marks], classes)[0], i)
+        for i, (s, marks, _, ok) in enumerate(probes)
         if ok
     ]
     if not fixing:
         message = f"no fixing {r}-sequence; minimum-encoding fallback"
         return minimum_encoding(graph)[1], [Diagnostic(FALLBACK, 1, graph.n, message)]
-    chosen, codes, _ = probes[min(fixing)[2]]
+    chosen, _, codes, _ = probes[min(fixing)[2]]
     rest = sorted((v for v in graph.vertices if v not in chosen), key=codes.__getitem__)
     labels = {v: i + 1 for i, v in enumerate(chosen + tuple(rest))}
     return Labeling(labels[v] for v in graph.vertices), []

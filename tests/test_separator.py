@@ -24,7 +24,12 @@ from graphcanon.invariant import BruteForceBackend, Wl1Backend
 from graphcanon.parallel import FALLBACK, INVARIANT_FAILURE, Diagnostic, RunStats
 from graphcanon.separator import SeparatorRun
 
-from .conftest import complete_graph, path_graph
+from .conftest import (
+    complete_graph,
+    count_scratch_refinements,
+    every_labeled_graph,
+    path_graph,
+)
 from .test_graph import (
     components_by_induction,
     permutations_of,
@@ -454,17 +459,16 @@ def reference_root_choice(graph, r, backend):
     """The root scope's separator, by the rule written out: the separating
     r-sequences, narrowed to those of minimal key (the tuple of their stable
     wl1 classes) when there are more than two, then the first code-minimal
-    one, coded with individualization colors b+1..b+r."""
+    one, coded with individualization colors b+1..b+r as recolorings of the
+    scope."""
     seqs = mark_separating_sequences(graph, r)
+    classes, _ = wl1_refine(graph)
     if len(seqs) > 2:
-        classes, _ = wl1_refine(graph)
         keys = [tuple(classes[v] for v in s) for s in seqs]
         seqs = [s for s, k in zip(seqs, keys) if k == min(keys)]
     b = graph.top_color()
-    codes = [
-        backend.code(graph.with_extra_colors({v: [b + i + 1] for i, v in enumerate(s)}))
-        for s in seqs
-    ]
+    marks = [{v: [b + i + 1] for i, v in enumerate(s)} for s in seqs]
+    codes = backend.codes(graph, marks, classes)
     return seqs[codes.index(min(codes))]
 
 
@@ -486,13 +490,6 @@ def test_separator_choice_equals_reference_rule(backend):
             assert [lab[v] for v in chosen] == list(range(1, r + 1)), (seed, r)
             checked += 1
     assert checked >= 40
-
-
-def every_labeled_graph(max_n):
-    for n in range(max_n + 1):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            yield ColoredGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
 
 
 def test_separating_sequences_equal_definition_on_every_small_graph():
@@ -554,6 +551,18 @@ def test_key_refinement_only_above_two_sequences(monkeypatch):
     # C6 at r=2 has many separating pairs at the root
     canon_separator(gen_family("cycle", n=6), 2, BF)
     assert calls[:1] == [6]
+
+
+def test_each_scope_refined_from_scratch_at_most_once(monkeypatch):
+    # a scope's flap code gives its stable partition, and its candidates
+    # restart from it; recolorings share the scope's adjacency, so the
+    # adjacency identifies the scope a refinement worked on
+    g = gen_family("tree", n=200, seed=1)
+    scratch = count_scratch_refinements(monkeypatch)
+    canon_separator(g, 1, WL1)
+    scopes = [h._adj for h in scratch]
+    assert len(scopes) > 100
+    assert len({id(adj) for adj in scopes}) == len(scopes)
 
 
 class TestFindIsomorphism:
