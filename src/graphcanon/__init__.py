@@ -28,7 +28,6 @@ from .graph import (
     apply_permutation,
     are_isomorphic_bf,
     encode,
-    encoded_length,
 )
 from .mincode import minimum_encoding
 from .invariant import (
@@ -133,7 +132,6 @@ __all__ = [
     "conjugate",
     "decompose_flaps",
     "encode",
-    "encoded_length",
     "enumerate_rotation_systems",
     "equivalent_embeddings",
     "euler_genus",

@@ -77,6 +77,14 @@ def _read_graph(path: str, fmt: str):
     raise FormatError(f"unknown graph format {fmt!r}")
 
 
+def _check_r(method: str, r: int):
+    """Refuse an --r the method cannot use, before any output: separators need
+    r >= 1, rigidity sequences r >= 0; bf has no r."""
+    least = {"separator": 1, "rigidity": 0}.get(method)
+    if least is not None and r < least:
+        raise ValueError(f"--r must be at least {least} for {method}, got {r}")
+
+
 def _canonize(graph, args, stats: RunStats) -> Labeling:
     if args.method == "bf":
         _, labeling = minimum_encoding(graph, stats=stats)
@@ -94,6 +102,7 @@ def _canonize(graph, args, stats: RunStats) -> Labeling:
 
 
 def cmd_canon(args) -> int:
+    _check_r(args.method, args.r)
     graph = _read_graph(args.input, args.format)
     stats = RunStats(args.workers)
     labeling = _canonize(graph, args, stats)
@@ -106,6 +115,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    _check_r("separator", args.r)
     first = _read_graph(args.inputs[0], args.format)
     second = _read_graph(args.inputs[1], args.format)
     backend = backend_from_selector(args.invariant)
@@ -212,6 +222,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_r(args.method, args.r)
     _emit(BENCH_COLUMNS + "\n")
     for trial in range(args.trials):
         seed = args.seed + trial

@@ -333,14 +333,6 @@ def encode(graph: ColoredGraph) -> CanonicalCode:
     return CanonicalCode(bytes(out))
 
 
-def encoded_length(graph: ColoredGraph) -> int:
-    """len(encode(graph).data) without building the encoding."""
-    total = len(b"%d\n" % graph.n)
-    for v in graph.vertices:
-        total += len(color_record(graph, v)) + (v - 1) + 1
-    return total
-
-
 def are_isomorphic_bf(
     graph: ColoredGraph, other: ColoredGraph, cap: int | None = None
 ) -> Labeling | None:

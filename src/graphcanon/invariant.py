@@ -46,7 +46,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 
 from .errors import BackendCapacityError, InvalidGraphError, OracleCapacityError
-from .graph import CanonicalCode, ColoredGraph, encoded_length, resolve_cap
+from .graph import CanonicalCode, ColoredGraph, resolve_cap
 from .mincode import minimum_encoding
 
 
@@ -228,20 +228,16 @@ DEFAULT_TUPLE_CAP = 200_000
 
 
 def wlk_refine(
-    graph: ColoredGraph,
-    k: int,
-    tuple_cap: int | None = None,
-    round_cap: int | None = None,
-    stats=None,
+    graph: ColoredGraph, k: int, tuple_cap: int | None = None, stats=None
 ) -> CanonicalCode:
     """k-dimensional refinement over vertex k-tuples, k >= 2.
 
     Tuples start from their ordered isomorphism type (coordinate equalities,
     pairwise adjacency, coordinate color sets) and are refined by the multiset,
     over all substitution targets w, of the joint vector of classes of the k
-    one-coordinate substitutions, in rounds until a round splits no class or
-    `round_cap` rounds ran. Class ids are renumbered by sorted signature each
-    round, and the code is the repr of every round's (signature, count) table.
+    one-coordinate substitutions, in rounds until a round splits no class.
+    Class ids are renumbered by sorted signature each round, and the code is
+    the repr of every round's (signature, count) table.
     """
     if k < 2:
         raise ValueError("wlk_refine requires k >= 2; use wl1_refine for k = 1")
@@ -281,7 +277,7 @@ def wlk_refine(
     tuples = list(itertools.product(verts, repeat=k))
     coloring, table = renumber({t: initial(t) for t in tuples})
     tables = [table]
-    while round_cap is None or len(tables) <= round_cap:
+    while True:
         # each signature starts with the tuple's own class, so a round only
         # splits classes, and it is stable exactly when the class count stays
         coloring, table = renumber(step(coloring))
@@ -369,21 +365,22 @@ class Wl1Backend(InvariantBackend):
 
 
 class WlkBackend(InvariantBackend):
-    def __init__(self, k: int, tuple_cap: int | None = None, round_cap: int | None = None):
+    def __init__(self, k: int):
         if k < 2:
             raise ValueError("wlk backend requires k >= 2")
         self.k = k
-        self.tuple_cap = tuple_cap
-        self.round_cap = round_cap
         self.name = f"wlk:{k}"
 
     def code(self, graph, stats=None):
         if stats is not None:
             stats.count_invariant()
-        return wlk_refine(graph, self.k, self.tuple_cap, self.round_cap, stats=stats)
+        return wlk_refine(graph, self.k, stats=stats)
 
 
 class BruteForceBackend(InvariantBackend):
+    """The exact minimum encoding (bf_invariant), for scopes of at most `cap`
+    vertices (the oracle cap when None)."""
+
     name = "bf"
 
     def __init__(self, cap: int | None = None):
@@ -394,46 +391,22 @@ class BruteForceBackend(InvariantBackend):
             stats.count_invariant()
         return bf_invariant(graph, self.cap, stats)
 
-    def code_bounded(self, graph, bound: bytes | None, stats=None):
-        """Code if it is <= bound (raw-byte compare), else None. Internal fast path."""
-        if stats is not None:
-            stats.count_invariant()
-        code, _ = minimum_encoding(graph, self.cap, prune_above=bound, stats=stats)
-        return code
+    # perfbench's tracer looks this name up in the class, so it stays bound
+    code_bounded = code
 
     def argmin(self, scope, colorings, partition=None, stats=None) -> int:
-        """As InvariantBackend.argmin, by a scan that threads a running bound
-        through the recolored scopes, which prunes most of them outright.
-        Raw-byte bounds equal the code order only at one encoded length, hence
-        the guard. The scope is checked against the cap first, so it is
-        refused even where no coloring would be coded."""
+        """As InvariantBackend.argmin, but the scope is checked against the
+        cap first, so it is refused even where no coloring would be coded."""
         limit = resolve_cap(self.cap)
         if scope.n > limit:
             raise OracleCapacityError(
                 f"brute-force invariant capped at n <= {limit}, got n = {scope.n}"
             )
-        if len(colorings) == 1:
-            return 0
-        graphs = [scope.with_extra_colors(c) for c in colorings]
-        if len({encoded_length(g) for g in graphs}) > 1:
-            codes = [self.code(g, stats) for g in graphs]
-            return min(range(len(codes)), key=codes.__getitem__)
-        best, bound = None, None
-        for i, g in enumerate(graphs):
-            code = self.code_bounded(g, bound, stats)
-            if code is not None and (bound is None or code.data < bound):
-                best, bound = i, code.data
-        return best
+        return super().argmin(scope, colorings, partition, stats)
 
 
-def backend_from_selector(
-    selector: str,
-    oracle_cap: int | None = None,
-    tuple_cap: int | None = None,
-    round_cap: int | None = None,
-) -> InvariantBackend:
-    """Parse the backend grammar: `wl1`, `wlk:<k>`, or `bf`. `round_cap`
-    bounds wlk's rounds; wl1 has no rounds."""
+def backend_from_selector(selector: str) -> InvariantBackend:
+    """Parse the backend grammar: `wl1`, `wlk:<k>`, or `bf`."""
     text = selector.strip()
     if text == "wl1":
         return Wl1Backend()
@@ -442,7 +415,7 @@ def backend_from_selector(
             k = int(text[4:])
         except ValueError:
             raise ValueError(f"bad wlk dimension in selector {selector!r}") from None
-        return WlkBackend(k, tuple_cap, round_cap)
+        return WlkBackend(k)
     if text == "bf":
-        return BruteForceBackend(oracle_cap)
+        return BruteForceBackend()
     raise ValueError(f"unknown invariant selector {selector!r}")

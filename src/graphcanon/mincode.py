@@ -7,7 +7,8 @@ records can be compared as byte prefixes: among siblings only minimal-record
 candidates can lead to the overall minimum, and a branch whose prefix exceeds the
 incumbent is dead. Candidates equivalent to an explored sibling under an
 automorphism (discovered whenever a leaf ties the incumbent) are skipped. All
-three prunings preserve the exact minimum.
+three prunings preserve the exact minimum. The incumbent is always a leaf the
+search reached, so the minimum comes with a labeling that attains it.
 
 At most _AUTO_LIMIT automorphisms are kept. A tying leaf met when the store is
 full is dropped, which only weakens the pruning; a RunStats passed as `stats`
@@ -17,31 +18,13 @@ counts those drops in `auto_limit_hits`.
 from __future__ import annotations
 
 from .errors import OracleCapacityError
-from .graph import (
-    CanonicalCode,
-    ColoredGraph,
-    Labeling,
-    color_record,
-    encoded_length,
-    resolve_cap,
-)
+from .graph import CanonicalCode, ColoredGraph, Labeling, color_record, resolve_cap
 
 _AUTO_LIMIT = 64
 
 
-def minimum_encoding(
-    graph: ColoredGraph,
-    cap: int | None = None,
-    prune_above: bytes | None = None,
-    stats=None,
-):
-    """(code, labeling) achieving the minimum encoding of the graph.
-
-    With `prune_above` set, branches that cannot reach a code <= that byte string
-    are cut; if the true minimum is larger, (None, None) is returned. Callers
-    must only pass bounds whose encoded length equals this graph's (see
-    encoded_length), since the cut compares raw bytes.
-    """
+def minimum_encoding(graph: ColoredGraph, cap: int | None = None, stats=None):
+    """(code, labeling) achieving the minimum encoding of the graph."""
     limit = resolve_cap(cap)
     n = graph.n
     if n > limit:
@@ -50,18 +33,12 @@ def minimum_encoding(
         )
     header = b"%d\n" % n
     if n == 0:
-        code = CanonicalCode(header)
-        if prune_above is not None and header > prune_above:
-            return None, None
-        return code, Labeling(())
-
-    if prune_above is not None and len(prune_above) != encoded_length(graph):
-        raise ValueError("prune_above length does not match this graph's encoding")
+        return CanonicalCode(header), Labeling(())
 
     color = {v: color_record(graph, v) for v in graph.vertices}
     adj = {v: graph.neighbors(v) for v in graph.vertices}
 
-    best_code: list[bytes | None] = [prune_above]
+    best_code: list[bytes | None] = [None]
     best_order: list[tuple[int, ...] | None] = [None]
     version = [0]
     autos: list[tuple[int, ...]] = []
@@ -80,11 +57,6 @@ def minimum_encoding(
             best_order[0] = tuple(assigned)
             version[0] += 1
         elif cand == best_code[0]:
-            if best_order[0] is None:
-                # matched an externally supplied bound: adopt this order
-                best_order[0] = tuple(assigned)
-                version[0] += 1
-                return
             if len(autos) >= _AUTO_LIMIT:
                 if stats is not None:
                     stats.count_auto_limit()
@@ -157,6 +129,4 @@ def minimum_encoding(
             remaining.add(v)
 
     descend(len(header), True)
-    if best_order[0] is None:
-        return None, None
     return CanonicalCode(best_code[0]), Labeling.from_position_order(best_order[0])

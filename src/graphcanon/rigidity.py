@@ -139,6 +139,8 @@ def canon_rigidity(
     by the fixing property) shifted by r. `workers` is accepted for
     compatibility and ignored.
     """
+    if r < 0:
+        raise ValueError(f"rigidity sequences need r >= 0, got {r}")
     stats = stats if stats is not None else RunStats(workers)
     stats.observe_depth(1)
     partition, _ = invariant.wl1_refine(graph)

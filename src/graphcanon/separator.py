@@ -121,17 +121,13 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
     if not balanced:
         raise ContractViolationError("sequence is not a separator of this scope")
     base = run.color_base + (depth - 1) * run.block_width + run.r + 1
-    flaps = []
-    for comp in comps:
-        fgraph, origin = graph.induced_subgraph(comp)
-        pattern = {}
-        for local, orig in origin.items():
-            offset = sum(
-                1 << i for i, s in enumerate(sequence) if graph.has_edge(orig, s)
-            )
-            pattern[local] = [base + offset]
-        flaps.append(Flap(fgraph.with_extra_colors(pattern), origin))
-    return flaps
+    pattern = {
+        v: [base + sum(1 << i for i, s in enumerate(sequence) if graph.has_edge(v, s))]
+        for comp in comps
+        for v in comp
+    }
+    colored = graph.with_extra_colors(pattern)
+    return [Flap(*colored.induced_subgraph(comp)) for comp in comps]
 
 
 def canon_separator(

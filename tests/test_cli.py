@@ -117,6 +117,12 @@ class TestCanon:
         proc = run_cli("canon")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("method,r", [("separator", "0"), ("rigidity", "-1")])
+    def test_bad_r_is_a_usage_error(self, files, method, r):
+        proc = run_cli("canon", "--input", files["p3.cg"], "--method", method, "--r", r)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+
 
 class TestIso:
     def test_isomorphic_trees_exit_zero(self, files):
@@ -135,6 +141,12 @@ class TestIso:
     def test_self_iso(self, files):
         proc = run_cli("iso", files["k3.cg"], files["k3.cg"], "--invariant", "bf")
         assert proc.returncode == 0
+
+    def test_r_zero_is_a_usage_error(self, files):
+        # exit 1 would read as "non-isomorphic" on identical inputs
+        proc = run_cli("iso", files["k3.cg"], files["k3.cg"], "--r", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
 
     def test_wl1_blind_pair_still_verified_negative(self, tmp_path):
         # WL-1 cannot tell C6 from two triangles, but the final mapping check
@@ -262,6 +274,13 @@ class TestBench:
             assert fields[0] == "k_tree"
             assert int(fields[5]) <= 5  # ceil(log2 12) + 1
             assert fields[9] == "-"
+
+    def test_bad_r_is_a_usage_error(self):
+        proc = run_cli(
+            "bench", "--family", "tree", "--n", "9", "--method", "separator", "--r", "0"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
 
     def test_stable_columns_across_workers(self):
         rows = []

@@ -14,7 +14,6 @@ from graphcanon import (
     apply_permutation,
     are_isomorphic_bf,
     encode,
-    encoded_length,
     gen_family,
     parallel_map,
 )
@@ -190,8 +189,6 @@ class TestEncode:
             corpus.append(ColoredGraph(3, edges, {2: {2, 7}}))
         codes = [encode(g) for g in corpus]
         assert len(set(codes)) == len(set(corpus))
-        for g, code in zip(corpus, codes):
-            assert (len(code.data)) == encoded_length(g)
 
     @settings(max_examples=100)
     @given(g=small_colored_graphs(), h=small_colored_graphs())

@@ -22,7 +22,6 @@ from graphcanon import (
     canon_separator,
     cg_dumps,
     encode,
-    encoded_length,
     gen_family,
     minimum_encoding,
     orbits,
@@ -443,7 +442,6 @@ class TestArgmin:
     def test_bf_bounded_path_first_index_wins_ties(self):
         backend = BruteForceBackend()
         marks = self.MARKED_P4
-        assert len({encoded_length(self.P4.with_extra_colors(c)) for c in marks}) == 1
         assert backend.argmin(self.P4, marks) == first_minimal_index(backend, self.P4, marks)
         rev = marks[::-1]
         assert backend.argmin(self.P4, rev) == first_minimal_index(backend, self.P4, rev)
@@ -453,10 +451,26 @@ class TestArgmin:
         # a two-digit color makes a longer, hence larger, code
         p3 = path_graph(3)
         marks = [{1: [10]}, {3: [1]}, {2: [1]}, {1: [1]}]
-        assert len({encoded_length(p3.with_extra_colors(c)) for c in marks}) > 1
         assert backend.argmin(p3, marks) == first_minimal_index(backend, p3, marks)
         rev = marks[::-1]
         assert backend.argmin(p3, rev) == first_minimal_index(backend, p3, rev)
+
+    def test_bf_first_minimal_index_on_every_small_marking(self):
+        # every graph on at most 4 vertices, bare and with vertex 1 precolored,
+        # each vertex marked by a one-digit or a two-digit fresh color: one
+        # digit only and two digits only give equal encoded lengths, both
+        # together mixed ones
+        backend = BruteForceBackend()
+        for g in every_labeled_graph(4):
+            scopes = [g] if g.n == 0 else [g, g.with_extra_colors({1: [1]})]
+            for scope in scopes:
+                short = [{v: [2]} for v in scope.vertices]
+                long = [{v: [10]} for v in scope.vertices]
+                for marks in (short, long, long + short, short[::-1] + long[::-1]):
+                    if not marks:
+                        continue
+                    codes = [bf_invariant(scope.with_extra_colors(c)) for c in marks]
+                    assert backend.argmin(scope, marks) == codes.index(min(codes))
 
     def test_single_graph_is_not_coded(self, monkeypatch, p3):
         scratch = count_scratch_refinements(monkeypatch)

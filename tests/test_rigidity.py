@@ -180,6 +180,12 @@ class TestCanonRigidity:
         with pytest.raises(ValueError):
             canon_rigidity(g, -3, Wl1Backend())
 
+    def test_negative_r_refused_before_any_work(self, monkeypatch, k3):
+        scratch = count_scratch_refinements(monkeypatch)
+        with pytest.raises(ValueError, match="r >= 0"):
+            canon_rigidity(k3, -1, BF)
+        assert scratch == []
+
     def test_call_budget_on_refinement_discrete_graph(self, monkeypatch):
         # refinement makes the graph discrete, so every sequence has its own
         # key and none is coded; the first one probed is fixing, for n codes,

@@ -265,6 +265,22 @@ class TestDecomposeFlaps:
         flaps = decompose_flaps(g, sequences[0], 1, run)
         assert len(built) == len(flaps)
 
+    def test_each_flap_colored_once(self, monkeypatch):
+        # one recoloring of the scope, then one induced subgraph per flap
+        calls = []
+        set_colors = ColoredGraph._set_colors
+
+        def counting(self, colors):
+            calls.append(1)
+            set_colors(self, colors)
+
+        g = gen_family("partial_k_tree", n=9, k=2, seed=4)
+        run = SeparatorRun(2, 6, BF)
+        seq = next(s for s in mark_separating_sequences(g, 2) if len(g.components(s)) >= 2)
+        monkeypatch.setattr(ColoredGraph, "_set_colors", counting)
+        flaps = decompose_flaps(g, seq, 1, run)
+        assert len(calls) <= len(flaps) + 1
+
     def test_flap_partition_property(self):
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
         run = SeparatorRun(3, 11, BF)
