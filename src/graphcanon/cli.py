@@ -3,7 +3,7 @@
 Output is deterministic for fixed inputs and flags; --workers is accepted and
 ignored, and all randomness flows through --seed. Exit codes: 0 success
 (isomorphic, for `iso`), 1 negative verdict or generic failure, 2 malformed
-input, 3 oracle or backend capacity exceeded.
+or unreadable input, 3 oracle or backend capacity exceeded.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OracleCapacityError, BackendCapacityError) as exc:

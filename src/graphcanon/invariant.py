@@ -15,24 +15,25 @@ pieces, and one already processed queues all its pieces but the largest. No
 step looks at vertex names, so the ordered partition and the trace are
 label-independent.
 
-The code is that trace: the initial color table (color set and size per
-cell, in order), then per splitter its position and, per touched cell, its
-position and the count and size of each piece. It fixes the quotient counts
-between the stable cells and their colors, which is all that rounds of color
-refinement can see, so two graphs get equal codes exactly when color
-refinement does not tell them apart.
+The code is that trace: the colors split off at the start, then, per color
+and per splitter (with its position), per touched cell its position and the
+count and size of each piece. It fixes the quotient counts between the
+stable cells and their colors, which is all that rounds of color refinement
+can see, so two graphs get equal codes exactly when color refinement does
+not tell them apart.
 
-A restart begins at the stable partition of a scope and splits off the
-vertices of each fresh color, in color order, as if the color were a
-splitter; then it refines as usual. This is sound because refinement is
-monotone. Let P be the scope's stable partition, the coarsest equitable
-partition finer than its color classes, and Q the partition P with the
-fresh colors split off. The recolored scope's stable partition S is
-equitable and finer than the scope's color classes, so it is finer than P;
-it separates the fresh colors, so it is finer than Q. Q is finer than the
-recolored scope's color classes, so the coarsest equitable partition finer
-than Q is S, the one refinement from scratch reaches. A restart code starts
-with the fresh colors in place of the color table; it is label-independent
+Every refinement is a restart: it splits off the vertices of each color, in
+color order, as if the color were a splitter, then refines as usual. From
+scratch it begins at one queued cell of every vertex, with the graph's own
+colors; a restart of a scope begins at its stable partition, nothing
+queued, with fresh colors. This is sound because refinement is monotone.
+Let P be the scope's stable partition, the coarsest equitable partition
+finer than its color classes, and Q the partition P with the fresh colors
+split off. The recolored scope's stable partition S is equitable and finer
+than the scope's color classes, so it is finer than P; it separates the
+fresh colors, so it is finer than Q. Q is finer than the recolored scope's
+color classes, so the coarsest equitable partition finer than Q is S, the
+one refinement from scratch reaches. A restart code is label-independent
 given the scope, so restart codes compare among recolorings of one scope.
 """
 
@@ -55,12 +56,12 @@ def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
 
     Returns the stable coloring (vertex -> end position of its cell in the
     ordered partition) and the trace code (see the module docstring). From
-    scratch, the initial cells are the vertices of equal color set, ordered
-    by color set. Given `partition`, the stable coloring of `graph` as
-    returned here, and `fresh` (vertex -> colors above every color of
-    `graph`), it restarts from that partition instead. The result is then
-    the stable partition of `graph` with the fresh colors added, and the code
-    compares only with restart codes of the same `graph` and `partition`.
+    scratch, it restarts from the one-cell partition with the graph's colors.
+    Given `partition`, the stable coloring of `graph` as returned here, and
+    `fresh` (vertex -> colors above every color of `graph`), it restarts from
+    that partition with the fresh colors. The result is then the stable
+    partition of `graph` with the fresh colors added, and the code compares
+    only with restart codes of the same `graph` and `partition`.
     """
     n = graph.n
     neighbors = graph.neighbors
@@ -148,47 +149,27 @@ def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
     if partition is None:
         if fresh:
             raise ValueError("fresh colors need the stable partition to restart from")
-        groups: dict = {}
-        colors = graph.colors
-        for v in graph.vertices:
-            key = tuple(sorted(colors[v])) if v in colors else ()
-            if key in groups:
-                groups[key].append(v)
-            else:
-                groups[key] = [v]
-        table = tuple((cs, len(groups[cs])) for cs in sorted(groups))
-        head = b"wl1\n" + repr(table).encode("ascii")
-        lab = []
-        for cs, m in table:
-            lab.extend(groups[cs])
-            e = len(lab)
-            for v in groups[cs]:
-                cell[v] = e
-            size[e] = m
-            queued[e] = True
-            worklist.append(e)  # ascending, hence already a heap
-        for i, v in enumerate(lab):
-            pos[v] = i
-    else:
-        lab = sorted(partition, key=partition.__getitem__)
-        for i, v in enumerate(lab):
-            e = partition[v]
-            cell[v] = e
-            size[e] += 1
-            pos[v] = i
-        by_color: dict = {}
-        for v, cs in (fresh or {}).items():
-            if not 1 <= v <= n:
-                raise InvalidGraphError(f"colored vertex {v} outside 1..{n}")
-            for c in cs:
-                by_color.setdefault(c, set()).add(v)
-        colors = sorted(by_color)
-        head = b"wl1+\n" + repr(tuple(colors)).encode("ascii")
-        for c in colors:  # split off each fresh color as a splitter would
-            touched = list(by_color[c])
-            for w in touched:
-                count[w] = 1
-            split_cells(touched)
+        partition, fresh = dict.fromkeys(graph.vertices, n), graph.colors
+        queued[n] = True
+        worklist.append(n)
+    lab = sorted(partition, key=partition.__getitem__)
+    for i, v in enumerate(lab):
+        e = partition[v]
+        cell[v] = e
+        size[e] += 1
+        pos[v] = i
+    by_color: dict = {}
+    for v, cs in (fresh or {}).items():
+        if not 1 <= v <= n:
+            raise InvalidGraphError(f"colored vertex {v} outside 1..{n}")
+        for c in cs:
+            by_color.setdefault(c, set()).add(v)
+    colors = sorted(by_color)
+    for c in colors:  # split off each color as a splitter would
+        touched = list(by_color[c])
+        for w in touched:
+            count[w] = 1
+        split_cells(touched)
 
     while worklist:
         s = heappop(worklist)
@@ -207,6 +188,7 @@ def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
     if sys.byteorder == "little":
         trace.byteswap()  # big-endian, so byte order is numeric order
     coloring = dict(zip(graph.vertices, cell[1:]))
+    head = b"wl1\n" + repr(tuple(colors)).encode("ascii")
     return coloring, CanonicalCode(head + b"\n" + trace.tobytes())
 
 
@@ -312,10 +294,11 @@ class InvariantBackend:
     def code(self, graph: ColoredGraph, stats=None) -> CanonicalCode:
         raise NotImplementedError
 
-    def code_and_partition(self, graph: ColoredGraph, stats=None):
-        """The code, and the stable wl1 coloring when coding computed it
-        (wl1 only; None otherwise)."""
-        return self.code(graph, stats), None
+    def flap_codes(self, scope: ColoredGraph, coloring, partition, flaps, stats=None):
+        """Per flap of `scope` recolored by `coloring`, a code comparable with
+        the others and the flap's stable wl1 coloring, or None. This default
+        codes each flap graph and hands down None."""
+        return [(self.code(flap.graph, stats), None) for flap in flaps]
 
     def codes(self, scope: ColoredGraph, colorings, partition=None, stats=None) -> list:
         """Per coloring, a code of the recolored scope; the codes compare with
@@ -345,13 +328,9 @@ class Wl1Backend(InvariantBackend):
     name = "wl1"
 
     def code(self, graph, stats=None):
-        return self.code_and_partition(graph, stats)[0]
-
-    def code_and_partition(self, graph, stats=None):
         if stats is not None:
             stats.count_invariant()
-        classes, code = wl1_refine(graph)
-        return code, classes
+        return wl1_refine(graph)[1]
 
     def codes(self, scope, colorings, partition=None, stats=None):
         if partition is None:
@@ -361,6 +340,22 @@ class Wl1Backend(InvariantBackend):
             if stats is not None:
                 stats.count_invariant()
             out.append(wl1_refine(scope, fresh=coloring, partition=partition)[1])
+        return out
+
+    def flap_codes(self, scope, coloring, partition, flaps, stats=None):
+        """One restart of the recolored scope codes every flap. On a disjoint
+        union each component's part of the stable partition is its own stable
+        partition, and two components are equivalent exactly when they fill
+        the same cells: a flap's code is its vertices' cells, sorted, and its
+        coloring is the restart limited to it, cells renumbered as ends."""
+        if stats is not None:
+            stats.count_invariant()
+        classes, _ = wl1_refine(scope, fresh=coloring, partition=partition)
+        out = []
+        for flap in flaps:
+            cells = sorted(classes[v] for v in flap.origin.values())
+            ends = {c: i for i, c in enumerate(cells, 1)}  # the last index wins
+            out.append((tuple(cells), {u: ends[classes[v]] for u, v in flap.origin.items()}))
         return out
 
 

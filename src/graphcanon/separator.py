@@ -2,13 +2,15 @@
 
 The recursion at depth d works on a colored scope graph H: it enumerates the
 separating r-sequences, keeps those whose vertices' stable wl1 classes form
-the smallest key (when there are more than two), picks among them the one
-whose individualized coloring minimizes the invariant, puts the sequence
-vertices first, splits the rest into flaps colored by their adjacency pattern
-toward the separator, orders flap blocks by their invariant codes, and
-recurses (or solves flaps of at most r vertices by trying every bijection).
-A flap's wl1 code comes with its stable partition, which its own scope then
-uses for its keys and for the candidate codes, which restart from it.
+the smallest key, picks among them the one whose individualized coloring
+minimizes the invariant, puts the sequence vertices first, splits the rest
+into flaps colored by their adjacency pattern toward the separator, orders
+flap blocks by their invariant codes, and recurses (or solves flaps of at
+most r vertices by trying every bijection). Under wl1 only the root refines
+from scratch: one restart of a scope, its chosen sequence individualized,
+codes all its flaps and hands each the stable partition that its own keys
+and candidate codes restart from. Other backends hand down no partition, so
+each scope refines once for its keys.
 
 Let b be the root graph's largest input color (0 on an uncolored graph) and
 W = 2^r + r. Colors introduced at depth d live in the block
@@ -48,7 +50,6 @@ class SeparatorRun:
     block_width: int
     backend: InvariantBackend
     check: bool = False
-    oracle_cap: int | None = None
     color_base: int = 0  # b, the root graph's largest input color
 
     def __post_init__(self):
@@ -137,15 +138,14 @@ def canon_separator(
     check: bool = False,
     workers: int = 1,
     stats: RunStats | None = None,
-    oracle_cap: int | None = None,
 ) -> Labeling:
     """Canonical labeling of the graph, given an invariant complete for the
     colorings arising in the run.
 
-    A scope with more than two separating r-sequences first narrows them to
-    those of minimal key (their vertices' stable wl1 classes in order, see
-    sequence_keys); the sequence chosen is the first code-minimal one among
-    those left. A single candidate is taken without coding it.
+    A scope narrows its separating r-sequences to those of minimal key (their
+    vertices' stable wl1 classes in order, see sequence_keys); the sequence
+    chosen is the first code-minimal one among those left. A single
+    candidate is taken without coding it.
 
     A scope with no separating r-sequence, at any depth, is ordered by its
     exact minimum encoding instead (with a diagnostic); above the oracle cap
@@ -153,15 +153,15 @@ def canon_separator(
     `workers` is accepted for compatibility and ignored; it only seeds a fresh
     RunStats."""
     stats = stats if stats is not None else RunStats(workers)
-    run = SeparatorRun(r, 2**r + r, backend, check, oracle_cap, graph.top_color())
+    run = SeparatorRun(r, 2**r + r, backend, check, graph.top_color())
     order = _rank_scope(graph, 1, run, stats)
     return Labeling.from_position_order(order)
 
 
 def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition=None):
     """The scope's vertices in canonical order. `partition` is the scope's
-    stable wl1 coloring when its flap code computed it; otherwise it is
-    refined here only if the keys or a wl1 argmin need it."""
+    stable wl1 coloring when its parent's flap codes handed it down;
+    otherwise the scope is refined here, once, for its keys."""
     stats.observe_depth(depth)
     if scope.n <= run.r:
         return _base_case(scope, run, stats, partition)
@@ -174,24 +174,24 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
             f"no separating {run.r}-sequence at depth {depth}; minimum-encoding fallback",
         )
         stats.count_invariant()
-        _, labeling = minimum_encoding(scope, run.oracle_cap, stats=stats)
+        _, labeling = minimum_encoding(scope, stats=stats)
         return list(labeling.inverse())
 
-    if len(sequences) > 2:
-        if partition is None:
-            partition, _ = invariant.wl1_refine(scope)
-        keys = sequence_keys(partition, sequences)
-        least = min(keys)
-        sequences = [s for s, k in zip(sequences, keys) if k == least]
+    if partition is None:
+        partition, _ = invariant.wl1_refine(scope)
+    keys = sequence_keys(partition, sequences)
+    least = min(keys)
+    sequences = [s for s, k in zip(sequences, keys) if k == least]
     base = run.color_base + (depth - 1) * run.block_width
     colorings = [{v: [base + i + 1] for i, v in enumerate(seq)} for seq in sequences]
-    chosen = sequences[run.backend.argmin(scope, colorings, partition, stats)]
+    best = run.backend.argmin(scope, colorings, partition, stats)
+    chosen = sequences[best]
 
     flaps = decompose_flaps(scope, chosen, depth, run)
-    coded = parallel_map(lambda fl: run.backend.code_and_partition(fl.graph, stats), flaps)
+    coded = run.backend.flap_codes(scope, colorings[best], partition, flaps, stats)
     flap_codes = [code for code, _ in coded]
     if run.check:
-        _cross_check_flaps(flaps, flap_codes, depth, run, stats)
+        _cross_check_flaps(flaps, flap_codes, depth, stats)
 
     blocks = sorted(
         range(len(flaps)),
@@ -225,10 +225,10 @@ def _base_case(scope: ColoredGraph, run: SeparatorRun, stats, partition=None):
     return sorted(scope.vertices, key=lambda v: chosen[v - 1])
 
 
-def _cross_check_flaps(flaps, flap_codes, depth: int, run: SeparatorRun, stats):
+def _cross_check_flaps(flaps, flap_codes, depth: int, stats):
     """Equal-code flap pairs must be isomorphic when the backend is complete;
     brute force verifies this for flaps within the oracle cap."""
-    cap = resolve_cap(run.oracle_cap)
+    cap = resolve_cap(None)
     by_code: dict = {}
     for i, code in enumerate(flap_codes):
         by_code.setdefault(code, []).append(i)
@@ -258,7 +258,6 @@ def find_isomorphism(
     check: bool = False,
     workers: int = 1,
     stats: RunStats | None = None,
-    oracle_cap: int | None = None,
 ) -> Labeling | None:
     """Isomorphism from two canonical labelings, verified before returning.
 
@@ -272,8 +271,8 @@ def find_isomorphism(
     stats = stats if stats is not None else RunStats(workers)
     if graph.n != other.n:
         return None
-    sig_g = canon_separator(graph, r, backend, check, workers, stats, oracle_cap)
-    sig_h = canon_separator(other, r, backend, check, workers, stats, oracle_cap)
+    sig_g = canon_separator(graph, r, backend, check, workers, stats)
+    sig_h = canon_separator(other, r, backend, check, workers, stats)
     if encode(apply_permutation(graph, sig_g)) != encode(apply_permutation(other, sig_h)):
         return None
     mapping = sig_h.inverse().compose(sig_g)

@@ -123,6 +123,12 @@ class TestCanon:
         assert proc.returncode == 2
         assert proc.stdout == b""
 
+    def test_missing_input_exit_code(self, files):
+        proc = run_cli("canon", "--input", files["root"] + "/missing.cg")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
+
 
 class TestIso:
     def test_isomorphic_trees_exit_zero(self, files):
@@ -147,6 +153,12 @@ class TestIso:
         proc = run_cli("iso", files["k3.cg"], files["k3.cg"], "--r", "0")
         assert proc.returncode == 2
         assert proc.stdout == b""
+
+    def test_missing_input_is_not_a_negative_verdict(self, files):
+        proc = run_cli("iso", files["k3.cg"], files["root"] + "/missing.cg")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
 
     def test_wl1_blind_pair_still_verified_negative(self, tmp_path):
         # WL-1 cannot tell C6 from two triangles, but the final mapping check
@@ -232,6 +244,13 @@ class TestGen:
         a = run_cli("gen", "--family", "k_tree", "--n", "8", "--k", "2", "--seed", "4", check=True)
         b = run_cli("gen", "--family", "k_tree", "--n", "8", "--k", "2", "--seed", "4", check=True)
         assert a.stdout == b.stdout
+
+    def test_unwritable_out_exit_code(self, tmp_path):
+        out = tmp_path / "no" / "g.cg"
+        proc = run_cli("gen", "--family", "tree", "--n", "6", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
 
     def test_manifest_append(self, tmp_path):
         out = tmp_path / "g.cg"

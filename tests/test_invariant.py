@@ -540,7 +540,7 @@ GOLDEN_CASES = (
     ("rigidity", "wl1", 3, "random_gnp", dict(n=6, p=0.5, seed=14)),
     ("rigidity", "bf", 3, "partial_k_tree", dict(n=5, k=2, seed=15)),
 )
-GOLDEN_DIGEST = "0a049b7df9d29f6b60406d2a994073184aabe69871c2f6337a8420afbc1876fa"
+GOLDEN_DIGEST = "700ddaf6b33044e7ebc6684c91176bb0f2cc961d40f6a87bc541b823edf221f3"
 
 
 def golden_forms_digest():

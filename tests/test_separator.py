@@ -30,6 +30,7 @@ from .conftest import (
     every_labeled_graph,
     path_graph,
 )
+from .test_invariant import partition_of
 from .test_graph import (
     components_by_induction,
     permutations_of,
@@ -474,14 +475,12 @@ def test_precolored_form_invariant_under_random_relabeling(data):
 def reference_root_choice(graph, r, backend):
     """The root scope's separator, by the rule written out: the separating
     r-sequences, narrowed to those of minimal key (the tuple of their stable
-    wl1 classes) when there are more than two, then the first code-minimal
-    one, coded with individualization colors b+1..b+r as recolorings of the
-    scope."""
+    wl1 classes), then the first code-minimal one, coded with
+    individualization colors b+1..b+r as recolorings of the scope."""
     seqs = mark_separating_sequences(graph, r)
     classes, _ = wl1_refine(graph)
-    if len(seqs) > 2:
-        keys = [tuple(classes[v] for v in s) for s in seqs]
-        seqs = [s for s, k in zip(seqs, keys) if k == min(keys)]
+    keys = [tuple(classes[v] for v in s) for s in seqs]
+    seqs = [s for s, k in zip(seqs, keys) if k == min(keys)]
     b = graph.top_color()
     marks = [{v: [b + i + 1] for i, v in enumerate(s)} for s in seqs]
     codes = backend.codes(graph, marks, classes)
@@ -551,34 +550,90 @@ def test_separating_sequences_walk_no_component_per_set(monkeypatch, make, r):
     assert walks == [] and tests == []
 
 
-def test_key_refinement_only_above_two_sequences(monkeypatch):
-    calls = []
-    real = invariant.wl1_refine
+def test_each_scope_refined_from_scratch_once_under_bf(monkeypatch):
+    # bf hands down no partition, so every scope with n > r refines once for
+    # its keys; mark_separating_sequences runs once on each such scope
+    scopes = []
+    real = separator.mark_separating_sequences
 
-    def counting(graph, *args, **kwargs):
-        calls.append(graph.n)
-        return real(graph, *args, **kwargs)
+    def recording(graph, r):
+        scopes.append(graph)
+        return real(graph, r)
 
-    monkeypatch.setattr(invariant, "wl1_refine", counting)
-    # P7 at r=1: the centre is the root's only separator, and each flap is a
-    # P3 whose midpoint is its only one
-    canon_separator(path_graph(7), 1, BF)
-    assert calls == []
-    # C6 at r=2 has many separating pairs at the root
-    canon_separator(gen_family("cycle", n=6), 2, BF)
-    assert calls[:1] == [6]
+    monkeypatch.setattr(separator, "mark_separating_sequences", recording)
+    scratch = count_scratch_refinements(monkeypatch)
+    for g, r in ((path_graph(7), 1), (gen_family("tree", n=10, seed=3), 1),
+                 (gen_family("partial_k_tree", n=10, k=2, seed=4), 3)):
+        scopes.clear()
+        scratch.clear()
+        canon_separator(g, r, BF)
+        assert len(scopes) > 1
+        assert [id(h) for h in scratch] == [id(h) for h in scopes]
 
 
 def test_each_scope_refined_from_scratch_at_most_once(monkeypatch):
-    # a scope's flap code gives its stable partition, and its candidates
-    # restart from it; recolorings share the scope's adjacency, so the
-    # adjacency identifies the scope a refinement worked on
+    # only the root refines from scratch: each flap's partition comes from
+    # its parent's restart, and its own candidates restart from it
     g = gen_family("tree", n=200, seed=1)
     scratch = count_scratch_refinements(monkeypatch)
     canon_separator(g, 1, WL1)
-    scopes = [h._adj for h in scratch]
-    assert len(scopes) > 100
-    assert len({id(adj) for adj in scopes}) == len(scopes)
+    assert scratch == [g]
+
+
+def colored_copy(g, seed):
+    """g with a color from 1..3 on each vertex with chance 0.4."""
+    from graphcanon import Lcg64
+
+    rng = Lcg64(seed)
+    colors = {v: {1 + rng.randrange(3)} for v in g.vertices if rng.chance(0.4)}
+    return ColoredGraph(g.n, g.edges, colors)
+
+
+def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch):
+    # the restart of a recolored scope, limited to one flap, is the flap's
+    # own stable partition; and two flaps of a scope get equal codes exactly
+    # when their own refinements do
+    seen = []
+    real = Wl1Backend.flap_codes
+
+    def recording(self, scope, coloring, partition, flaps, stats=None):
+        coded = real(self, scope, coloring, partition, flaps, stats)
+        seen.append((flaps, coded))
+        return coded
+
+    monkeypatch.setattr(Wl1Backend, "flap_codes", recording)
+    for seed in range(6):
+        for g, r in ((gen_family("tree", n=20, seed=seed), 1),
+                     (gen_family("k_tree", n=14, k=2, seed=seed), 3),
+                     (gen_family("partial_k_tree", n=14, k=2, seed=seed), 3),
+                     (gen_family("random_gnp", n=12, p=0.3, seed=seed), 2)):
+            for h in (g, colored_copy(g, seed)):
+                try:
+                    canon_separator(h, r, WL1)
+                except OracleCapacityError:
+                    pass  # a no-separator scope above the cap; earlier flaps count
+    checked = 0
+    for flaps, coded in seen:
+        own = [wl1_refine(flap.graph) for flap in flaps]
+        for (classes, _), (_, partition) in zip(own, coded):
+            assert partition_of(partition) == partition_of(classes)
+            checked += 1
+        for (a, (ca, _)), (b, (cb, _)) in itertools.combinations(zip(own, coded), 2):
+            assert (a[1] == b[1]) == (ca == cb)
+    assert checked > 300
+
+
+def test_precolored_wl1_forms_invariant_above_oracle_cap():
+    for g, r in ((gen_family("tree", n=30, seed=5), 1),
+                 (gen_family("tree", n=60, seed=6), 1),
+                 (gen_family("k_tree", n=25, k=2, seed=7), 3),
+                 (gen_family("partial_k_tree", n=20, k=2, seed=8), 3)):
+        for h in (g, colored_copy(g, g.n)):
+            forms = {
+                encode(apply_permutation(x, canon_separator(x, r, WL1)))
+                for x in [h] + [apply_permutation(h, lab) for lab in relabelings(h.n, 4, h.n)]
+            }
+            assert len(forms) == 1
 
 
 class TestFindIsomorphism:
