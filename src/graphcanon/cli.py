@@ -223,6 +223,8 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     _check_r(args.method, args.r)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     _emit(BENCH_COLUMNS + "\n")
     for trial in range(args.trials):
         seed = args.seed + trial

@@ -171,7 +171,10 @@ def gen_family(
     Families: tree, cycle, complete, star, k_tree, partial_k_tree, random_gnp,
     platonic. partial_k_tree deletes each k-tree edge with probability p
     (default 0.25); random_gnp keeps each pair with probability p (default 0.5).
+    A p outside [0, 1], or NaN, raises InvalidGraphError.
     """
+    if p is not None and not 0 <= p <= 1:  # NaN fails the comparison too
+        raise InvalidGraphError(f"the probability p must lie in [0, 1], got {p}")
     fam = family.strip().lower()
     rng = Lcg64(seed)
     if fam == "tree":

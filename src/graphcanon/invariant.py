@@ -192,18 +192,9 @@ def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
     return coloring, CanonicalCode(head + b"\n" + trace.tobytes())
 
 
-def sequence_keys(classes: dict, sequences) -> list:
-    """Per sequence, the tuple of its vertices' stable wl1 classes.
-
-    `classes` is a stable coloring from wl1_refine. Class ids are cell
-    positions of a label-independent ordered partition, so the keys are
-    label-independent and any filter or order on them is
-    isomorphism-invariant. This is target-cell selection (McKay & Piperno,
-    Practical graph isomorphism II, 2014): the separator recursion codes only
-    its minimal-key candidates, and rigidity probes its candidates in key
-    order. The refinement is not a backend code and is not counted as one.
-    """
-    return [tuple(classes[v] for v in seq) for seq in sequences]
+def _individualized(sequence, base: int) -> dict:
+    """vertex -> [base+i] for the i-th vertex of the sequence, i = 1, 2, ..."""
+    return {v: [base + i] for i, v in enumerate(sequence, 1)}
 
 
 DEFAULT_TUPLE_CAP = 200_000
@@ -283,10 +274,11 @@ def bf_invariant(graph: ColoredGraph, cap: int | None = None, stats=None) -> Can
 class InvariantBackend:
     """An invariant as a reusable object: equal codes on isomorphic colored graphs.
 
-    `codes` and `argmin` code recolorings of one scope: each coloring maps
+    `codes` and `order` code recolorings of one scope: each coloring maps
     vertices to extra colors, all above the scope's colors. `partition`, the
     scope's stable wl1 coloring (wl1_refine), lets wl1 restart from it; the
     other backends ignore it and code `scope.with_extra_colors(coloring)`.
+    `order` is the one candidate rule of both canonizers.
     """
 
     name = "?"
@@ -306,13 +298,34 @@ class InvariantBackend:
         recolorings apart."""
         return [self.code(scope.with_extra_colors(c), stats) for c in colorings]
 
-    def argmin(self, scope: ColoredGraph, colorings, partition=None, stats=None) -> int:
-        """Index of the coloring with the smallest code; the first index wins
-        ties. A single coloring is not coded."""
-        if len(colorings) == 1:
-            return 0
-        codes = self.codes(scope, colorings, partition, stats)
-        return min(range(len(codes)), key=codes.__getitem__)
+    def order(self, scope: ColoredGraph, sequences, base: int, partition=None, stats=None):
+        """The sequences, lazily, in (key, code, position) order.
+
+        The key of a sequence is the tuple of its vertices' classes in
+        `partition`, refined here when not given; its code is that of the
+        scope with its i-th vertex colored base+i, above every color of the
+        scope. Key groups come in key order. A group of one is not coded, and
+        a larger one is coded only when it is reached; a lone sequence needs
+        no key either. Class ids are cell positions of a label-independent
+        ordered partition, so the order is isomorphism-invariant: this is
+        target-cell selection (McKay & Piperno, arXiv:1301.1493).
+        """
+        if len(sequences) < 2:
+            yield from sequences
+            return
+        if partition is None:
+            partition, _ = wl1_refine(scope)
+        groups: dict = {}
+        for seq in sequences:
+            groups.setdefault(tuple(partition[v] for v in seq), []).append(seq)
+        for key in sorted(groups):
+            group = groups[key]
+            if len(group) > 1:
+                colorings = [_individualized(seq, base) for seq in group]
+                codes = self.codes(scope, colorings, partition, stats)
+                # sorted() is stable, so the first position wins code ties
+                group = [group[i] for i in sorted(range(len(group)), key=codes.__getitem__)]
+            yield from group
 
     def __call__(self, graph: ColoredGraph) -> CanonicalCode:
         return self.code(graph)
@@ -389,15 +402,15 @@ class BruteForceBackend(InvariantBackend):
     # perfbench's tracer looks this name up in the class, so it stays bound
     code_bounded = code
 
-    def argmin(self, scope, colorings, partition=None, stats=None) -> int:
-        """As InvariantBackend.argmin, but the scope is checked against the
-        cap first, so it is refused even where no coloring would be coded."""
+    def order(self, scope, sequences, base, partition=None, stats=None):
+        """As InvariantBackend.order, but the scope is checked against the cap
+        first, so it is refused even where no sequence would be coded."""
         limit = resolve_cap(self.cap)
         if scope.n > limit:
             raise OracleCapacityError(
                 f"brute-force invariant capped at n <= {limit}, got n = {scope.n}"
             )
-        return super().argmin(scope, colorings, partition, stats)
+        yield from super().order(scope, sequences, base, partition, stats)
 
 
 def backend_from_selector(selector: str) -> InvariantBackend:

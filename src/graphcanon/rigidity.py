@@ -1,21 +1,23 @@
 """Canonical labeling by individualization, for graphs of bounded rigidity index.
 
-A sequence s = (v_1..v_r) is probed by giving v_i color b+i-1 and, one vertex
-at a time, an extra color b+r; the sequence is fixing when the invariant codes
+A sequence s = (v_1..v_r) is probed by giving v_i color b+i and, one vertex
+at a time, an extra color b+r+1; the sequence is fixing when the invariant codes
 of those per-vertex colorings are pairwise distinct. With a complete invariant
 this agrees exactly with the automorphism-based fixing test, which is what
 rigidity_consistency_check demonstrates.
 
-Sequences are probed in an isomorphism-invariant order: by key, the tuple of
-their vertices' stable wl1 classes, and within one key by the code of their
-individualized coloring; the first fixing one is chosen. Only a key shared by
-several sequences needs those codes, so on a graph that refinement makes
-discrete no sequence is coded at all. The stable partition behind the keys is
-computed once; under wl1 every sequence and probe code restarts from it.
+Sequences are probed in the isomorphism-invariant order of
+InvariantBackend.order, the rule the separator recursion chooses by too: by
+key, the tuple of their vertices' stable wl1 classes, and within one key by
+the code of their individualized coloring; the first fixing one is chosen.
+Only a key shared by several sequences needs those codes, so on a graph that
+refinement makes discrete no sequence is coded at all. The stable partition
+behind the keys is computed once; under wl1 every sequence and probe code
+restarts from it.
 
-The base b is one above the graph's largest input color (b = 1 on an
-uncolored graph), so an individualization color never aliases an input color.
-b is an isomorphism invariant, so the forms stay canonical.
+The base b is the graph's largest input color (0 on an uncolored graph), so
+an individualization color never aliases an input color. b is an isomorphism
+invariant, so the forms stay canonical.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from .errors import ContractViolationError, InvariantFailureError
 from .graph import ColoredGraph, Labeling
 from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
-from .invariant import BruteForceBackend, InvariantBackend, sequence_keys
+from .invariant import BruteForceBackend, InvariantBackend, _individualized
 from .mincode import minimum_encoding
 from .oracles import automorphisms, pointwise_fixed
 from .parallel import FALLBACK, RunStats, parallel_map  # noqa: F401  (perfbench traces it here)
@@ -41,35 +43,29 @@ class FixingCandidate:
     fixing: bool
 
 
-def _color_base(graph: ColoredGraph) -> int:
-    """One above the largest input color; 1 on an uncolored graph."""
-    return graph.top_color() + 1
-
-
 def _sequence_colors(graph: ColoredGraph, sequence) -> dict:
-    """vertex -> [b+i-1] for the i-th sequence vertex, b as in individualize."""
+    """vertex -> [b+i] for the i-th sequence vertex, b as in individualize."""
     seq = tuple(sequence)
     if len(set(seq)) != len(seq):
         raise ContractViolationError("individualization sequence has repeated vertices")
-    base = _color_base(graph)
-    return {v: [base + i] for i, v in enumerate(seq)}
+    return _individualized(seq, graph.top_color())
 
 
 def _probe_colorings(graph: ColoredGraph, sequence) -> list:
     """Per vertex v in order, the individualize_plus(graph, sequence, v) colors."""
     colors = _sequence_colors(graph, sequence)
-    plus = _color_base(graph) + len(colors)
+    plus = graph.top_color() + len(colors) + 1
     return [{**colors, v: colors.get(v, []) + [plus]} for v in graph.vertices]
 
 
 def individualize(graph: ColoredGraph, sequence) -> ColoredGraph:
-    """Color b+i-1 added onto the i-th sequence vertex, i = 1..r, where b is
-    one above the largest input color (so colors 1..r on an uncolored graph)."""
+    """Color b+i added onto the i-th sequence vertex, i = 1..r, where b is the
+    largest input color (so colors 1..r on an uncolored graph)."""
     return graph.with_extra_colors(_sequence_colors(graph, sequence))
 
 
 def individualize_plus(graph: ColoredGraph, sequence, vertex: int) -> ColoredGraph:
-    """individualize(...) with color b+r additionally on `vertex`.
+    """individualize(...) with color b+r+1 additionally on `vertex`.
 
     The vertex may itself belong to the sequence; color sets simply stack.
     """
@@ -97,29 +93,6 @@ def is_fixing_bf(graph: ColoredGraph, vertex_set, cap: int | None = None) -> boo
     return not pointwise_fixed(group, set(vertex_set))
 
 
-def _probe_order(graph: ColoredGraph, r: int, backend: InvariantBackend, stats, partition):
-    """Every r-sequence, in the order canon_rigidity probes them.
-
-    Sequences are grouped by key (sequence_keys over `partition`, the graph's
-    stable wl1 coloring) and the groups come in key order. A group of one
-    sequence is not coded; a larger group is coded when it is reached and
-    yields in (code, lexicographic order).
-    """
-    sequences = list(itertools.permutations(graph.vertices, r))
-    groups: dict = {}
-    for seq, key in zip(sequences, sequence_keys(partition, sequences)):
-        groups.setdefault(key, []).append(seq)
-    for key in sorted(groups):
-        group = groups[key]
-        if len(group) > 1:
-            colorings = [_sequence_colors(graph, s) for s in group]
-            codes = backend.codes(graph, colorings, partition, stats)
-            # sorted() is stable and permutations() is lexicographic, so among
-            # tied codes the lexicographically first sequence comes first
-            group = [group[i] for i in sorted(range(len(group)), key=codes.__getitem__)]
-        yield from group
-
-
 def canon_rigidity(
     graph: ColoredGraph,
     r: int,
@@ -131,20 +104,21 @@ def canon_rigidity(
     minimum-encoding labeling with a diagnostic flag; above the oracle cap
     (GRAPHCANON_ORACLE_CAP) that raises OracleCapacityError.
 
-    Sequences are probed in key order, the tuple of their vertices' stable
-    wl1 classes; within one key, in (code of the individualized coloring,
-    lexicographic order). The first fixing one is chosen, which is the
-    fixing sequence of minimal (key, code, order). Sequence vertices receive
-    labels 1..r, and the rest are ranked by their per-vertex codes (distinct
-    by the fixing property) shifted by r. `workers` is accepted for
-    compatibility and ignored.
+    Sequences are probed in InvariantBackend.order: by key, the tuple of
+    their vertices' stable wl1 classes; within one key, in (code of the
+    individualized coloring, lexicographic order). The first fixing one is
+    chosen, which is the fixing sequence of minimal (key, code, order).
+    Sequence vertices receive labels 1..r, and the rest are ranked by their
+    per-vertex codes (distinct by the fixing property) shifted by r.
+    `workers` is accepted for compatibility and ignored.
     """
     if r < 0:
         raise ValueError(f"rigidity sequences need r >= 0, got {r}")
     stats = stats if stats is not None else RunStats(workers)
     stats.observe_depth(1)
     partition, _ = invariant.wl1_refine(graph)
-    for seq in _probe_order(graph, r, backend, stats, partition):
+    sequences = list(itertools.permutations(graph.vertices, r))
+    for seq in backend.order(graph, sequences, graph.top_color(), partition, stats):
         best = _probe(graph, seq, backend, stats, partition)
         if best.fixing:
             break

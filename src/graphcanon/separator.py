@@ -1,16 +1,18 @@
 """Canonical labeling by balanced-separator recursion over a pluggable invariant.
 
-The recursion at depth d works on a colored scope graph H: it enumerates the
-separating r-sequences, keeps those whose vertices' stable wl1 classes form
-the smallest key, picks among them the one whose individualized coloring
-minimizes the invariant, puts the sequence vertices first, splits the rest
-into flaps colored by their adjacency pattern toward the separator, orders
-flap blocks by their invariant codes, and recurses (or solves flaps of at
-most r vertices by trying every bijection). Under wl1 only the root refines
-from scratch: one restart of a scope, its chosen sequence individualized,
-codes all its flaps and hands each the stable partition that its own keys
-and candidate codes restart from. Other backends hand down no partition, so
-each scope refines once for its keys.
+The recursion at depth d works on a colored scope graph H. Its candidates are
+the separating r-sequences, or, when H has at most r vertices, every ordering
+of its vertices: such a scope is its own separator. It takes the first
+candidate of InvariantBackend.order: of minimal key (its vertices' stable
+wl1 classes), then of minimal code (its individualized coloring), then
+first in position. It puts the chosen vertices first, splits the rest into
+flaps colored by their adjacency pattern toward the separator, orders flap
+blocks by their invariant codes, and recurses. Under wl1 only the root
+refines from scratch: one restart of a scope, its chosen sequence
+individualized, codes all its flaps and hands each the stable partition that
+its own keys and candidate codes restart from. Other backends hand down no
+partition, so each scope with more than one candidate refines once for its
+keys.
 
 Let b be the root graph's largest input color (0 on an uncolored graph) and
 W = 2^r + r. Colors introduced at depth d live in the block
@@ -37,7 +39,7 @@ from .graph import (
     resolve_cap,
 )
 from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
-from .invariant import InvariantBackend, sequence_keys
+from .invariant import InvariantBackend, _individualized
 from .mincode import minimum_encoding
 from .parallel import FALLBACK, INVARIANT_FAILURE, RunStats, parallel_map
 
@@ -142,10 +144,11 @@ def canon_separator(
     """Canonical labeling of the graph, given an invariant complete for the
     colorings arising in the run.
 
-    A scope narrows its separating r-sequences to those of minimal key (their
-    vertices' stable wl1 classes in order, see sequence_keys); the sequence
-    chosen is the first code-minimal one among those left. A single
-    candidate is taken without coding it.
+    A scope chooses the first of its separating r-sequences (every ordering
+    of its vertices when it has at most r) in InvariantBackend.order: the
+    first code-minimal one among those of minimal key, their vertices'
+    stable wl1 classes in order. A single candidate is taken without coding
+    it.
 
     A scope with no separating r-sequence, at any depth, is ordered by its
     exact minimum encoding instead (with a diagnostic); above the oracle cap
@@ -161,10 +164,13 @@ def canon_separator(
 def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition=None):
     """The scope's vertices in canonical order. `partition` is the scope's
     stable wl1 coloring when its parent's flap codes handed it down;
-    otherwise the scope is refined here, once, for its keys."""
+    otherwise the scope is refined once, for its keys. A scope of at most r
+    vertices is its own separator and returns its chosen ordering."""
     stats.observe_depth(depth)
+    base = run.color_base + (depth - 1) * run.block_width
     if scope.n <= run.r:
-        return _base_case(scope, run, stats, partition)
+        orderings = list(itertools.permutations(scope.vertices))
+        return list(next(run.backend.order(scope, orderings, base, partition, stats)))
     sequences = mark_separating_sequences(scope, run.r)
     if not sequences:
         stats.diagnose(
@@ -177,18 +183,13 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
         _, labeling = minimum_encoding(scope, stats=stats)
         return list(labeling.inverse())
 
-    if partition is None:
+    if partition is None:  # the flap codes restart from it under wl1
         partition, _ = invariant.wl1_refine(scope)
-    keys = sequence_keys(partition, sequences)
-    least = min(keys)
-    sequences = [s for s, k in zip(sequences, keys) if k == least]
-    base = run.color_base + (depth - 1) * run.block_width
-    colorings = [{v: [base + i + 1] for i, v in enumerate(seq)} for seq in sequences]
-    best = run.backend.argmin(scope, colorings, partition, stats)
-    chosen = sequences[best]
+    chosen = next(run.backend.order(scope, sequences, base, partition, stats))
 
     flaps = decompose_flaps(scope, chosen, depth, run)
-    coded = run.backend.flap_codes(scope, colorings[best], partition, flaps, stats)
+    coloring = _individualized(chosen, base)
+    coded = run.backend.flap_codes(scope, coloring, partition, flaps, stats)
     flap_codes = [code for code, _ in coded]
     if run.check:
         _cross_check_flaps(flaps, flap_codes, depth, stats)
@@ -199,11 +200,8 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
     )
 
     def rank_flap(i: int):
-        flap, flap_partition = flaps[i], coded[i][1]
-        if flap.graph.n > run.r:
-            local = _rank_scope(flap.graph, depth + 1, run, stats, flap_partition)
-        else:
-            local = _base_case(flap.graph, run, stats, flap_partition)
+        flap = flaps[i]
+        local = _rank_scope(flap.graph, depth + 1, run, stats, coded[i][1])
         return [flap.origin[v] for v in local]
 
     child_orders = parallel_map(rank_flap, blocks)
@@ -211,18 +209,6 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
     for sub in child_orders:
         order.extend(sub)
     return order
-
-
-def _base_case(scope: ColoredGraph, run: SeparatorRun, stats, partition=None):
-    """Scopes of at most r vertices: try every bijection tau, color each vertex
-    with (largest color present) + tau(v), keep the code-minimal tau."""
-    if scope.n == 0:
-        return []
-    top = scope.top_color()
-    perms = list(itertools.permutations(range(1, scope.n + 1)))
-    colorings = [{v: [top + perm[v - 1]] for v in scope.vertices} for perm in perms]
-    chosen = perms[run.backend.argmin(scope, colorings, partition, stats)]
-    return sorted(scope.vertices, key=lambda v: chosen[v - 1])
 
 
 def _cross_check_flaps(flaps, flap_codes, depth: int, stats):

@@ -252,6 +252,13 @@ class TestGen:
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"error: ")
 
+    @pytest.mark.parametrize("p", ["2", "-1", "nan"])
+    def test_probability_outside_unit_interval_exit_code(self, p):
+        proc = run_cli("gen", "--family", "random_gnp", "--n", "6", "--p", p)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
+
     def test_manifest_append(self, tmp_path):
         out = tmp_path / "g.cg"
         manifest = tmp_path / "corpus.txt"
@@ -297,6 +304,15 @@ class TestBench:
     def test_bad_r_is_a_usage_error(self):
         proc = run_cli(
             "bench", "--family", "tree", "--n", "9", "--method", "separator", "--r", "0"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_a_usage_error(self, trials):
+        proc = run_cli(
+            "bench", "--family", "tree", "--n", "9", "--method", "separator",
+            "--trials", trials,
         )
         assert proc.returncode == 2
         assert proc.stdout == b""

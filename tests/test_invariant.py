@@ -28,7 +28,6 @@ from graphcanon import (
     wl1_refine,
     wlk_refine,
 )
-from graphcanon.invariant import sequence_keys
 from graphcanon.parallel import RunStats
 
 from .conftest import (
@@ -419,69 +418,94 @@ class TestBackendSelector:
         assert backend_from_selector("bf").code(p3) == bf_invariant(p3)
 
 
-def first_minimal_index(backend, scope, colorings):
-    codes = backend.codes(scope, colorings)
-    best = min(codes)
-    assert codes.count(best) >= 2, "the case must contain a tie"
-    return codes.index(best)
+def reference_order(backend, scope, sequences, base):
+    """The sequences sorted by (key, code, position), every one coded: the
+    rule InvariantBackend.order implements lazily. Asserts that some key
+    group holds a code tie, so that position decides it."""
+    classes, _ = wl1_refine(scope)
+    marks = [{v: [base + i] for i, v in enumerate(s, 1)} for s in sequences]
+    codes = backend.codes(scope, marks, classes)
+    keys = [tuple(classes[v] for v in s) for s in sequences]
+    assert len(set(zip(keys, codes))) < len(sequences), "the case must contain a tie"
+    ranked = sorted(range(len(sequences)), key=lambda i: (keys[i], codes[i], i))
+    return [sequences[i] for i in ranked]
 
 
 class TestArgmin:
-    # P4 with one endpoint or one inner vertex marked: the two endpoint
-    # markings tie, and so do the two inner ones
+    """InvariantBackend.order, whose first sequence is the argmin both
+    canonizers take."""
+
+    # P4 and its ordered pairs: the mirror image of a pair has the same key
+    # and ties with it in code
     P4 = path_graph(4)
-    MARKED_P4 = [{v: [1]} for v in (2, 4, 3, 1)]
+    PAIRS = list(itertools.permutations(range(1, 5), 2))
 
     def test_wl1_first_index_wins_ties(self):
         backend = Wl1Backend()
-        marks = self.MARKED_P4
-        assert backend.argmin(self.P4, marks) == first_minimal_index(backend, self.P4, marks)
-        rev = marks[::-1]
-        assert backend.argmin(self.P4, rev) == first_minimal_index(backend, self.P4, rev)
+        for seqs in (self.PAIRS, self.PAIRS[::-1]):
+            assert list(backend.order(self.P4, seqs, 0)) == reference_order(
+                backend, self.P4, seqs, 0
+            )
 
-    def test_bf_bounded_path_first_index_wins_ties(self):
+    def test_bf_first_index_wins_ties(self):
         backend = BruteForceBackend()
-        marks = self.MARKED_P4
-        assert backend.argmin(self.P4, marks) == first_minimal_index(backend, self.P4, marks)
-        rev = marks[::-1]
-        assert backend.argmin(self.P4, rev) == first_minimal_index(backend, self.P4, rev)
-
-    def test_bf_mixed_length_path_first_index_wins_ties(self):
-        backend = BruteForceBackend()
-        # a two-digit color makes a longer, hence larger, code
-        p3 = path_graph(3)
-        marks = [{1: [10]}, {3: [1]}, {2: [1]}, {1: [1]}]
-        assert backend.argmin(p3, marks) == first_minimal_index(backend, p3, marks)
-        rev = marks[::-1]
-        assert backend.argmin(p3, rev) == first_minimal_index(backend, p3, rev)
+        for seqs in (self.PAIRS, self.PAIRS[::-1]):
+            assert list(backend.order(self.P4, seqs, 0)) == reference_order(
+                backend, self.P4, seqs, 0
+            )
 
     def test_bf_first_minimal_index_on_every_small_marking(self):
-        # every graph on at most 4 vertices, bare and with vertex 1 precolored,
-        # each vertex marked by a one-digit or a two-digit fresh color: one
-        # digit only and two digits only give equal encoded lengths, both
-        # together mixed ones
+        # every graph on 2 to 4 vertices, bare and with vertex 1 precolored;
+        # its single vertices and its ordered pairs, forward and reversed,
+        # individualized above its largest color
         backend = BruteForceBackend()
         for g in every_labeled_graph(4):
-            scopes = [g] if g.n == 0 else [g, g.with_extra_colors({1: [1]})]
-            for scope in scopes:
-                short = [{v: [2]} for v in scope.vertices]
-                long = [{v: [10]} for v in scope.vertices]
-                for marks in (short, long, long + short, short[::-1] + long[::-1]):
-                    if not marks:
-                        continue
-                    codes = [bf_invariant(scope.with_extra_colors(c)) for c in marks]
-                    assert backend.argmin(scope, marks) == codes.index(min(codes))
+            if g.n < 2:
+                continue
+            for scope in (g, g.with_extra_colors({1: [1]})):
+                base = scope.top_color()
+                classes, _ = wl1_refine(scope)
+                for length in (1, 2):
+                    seqs = list(itertools.permutations(scope.vertices, length))
+                    codes = {
+                        s: bf_invariant(scope.with_extra_colors(
+                            {v: [base + i] for i, v in enumerate(s, 1)}
+                        ))
+                        for s in seqs
+                    }
+                    for marks in (seqs, seqs[::-1]):
+                        # sorted() is stable: position breaks (key, code) ties
+                        expected = sorted(
+                            marks, key=lambda s: (tuple(classes[v] for v in s), codes[s])
+                        )
+                        assert list(backend.order(scope, marks, base)) == expected
 
     def test_single_graph_is_not_coded(self, monkeypatch, p3):
+        # a lone sequence needs neither key nor code; a key group of one
+        # needs no code
         scratch = count_scratch_refinements(monkeypatch)
         stats = RunStats()
-        assert Wl1Backend().argmin(p3, [{1: [1]}], stats=stats) == 0
+        assert list(Wl1Backend().order(p3, [(1,)], 0, stats=stats)) == [(1,)]
         assert stats.invariant_calls == 0 and scratch == []
+        assert len(list(Wl1Backend().order(p3, [(1, 2), (2, 1)], 0, stats=stats))) == 2
+        assert stats.invariant_calls == 0 and scratch == [p3]
+
+    def test_later_key_groups_coded_only_when_reached(self):
+        classes, _ = wl1_refine(self.P4)
+        keys = Counter(tuple(classes[v] for v in s) for s in self.PAIRS)
+        stats = RunStats()
+        ordered = Wl1Backend().order(self.P4, self.PAIRS, 0, classes, stats)
+        next(ordered)
+        assert stats.invariant_calls == keys[min(keys)] < len(self.PAIRS)
+        list(ordered)
+        assert stats.invariant_calls == len(self.PAIRS)
 
     def test_bf_single_graph_above_cap_refused(self):
-        # the lone coloring is never coded, so only the up-front check refuses it
+        # the lone sequence is never coded, so only the up-front check refuses it
+        stats = RunStats()
         with pytest.raises(OracleCapacityError):
-            BruteForceBackend().argmin(path_graph(11), [{1: [1]}])
+            next(BruteForceBackend().order(path_graph(11), [(1,)], 0, stats=stats))
+        assert stats.invariant_calls == 0
 
     def test_wl1_codes_restart_from_the_given_partition(self, monkeypatch):
         g = gen_family("random_gnp", n=9, p=0.3, seed=2)
@@ -496,22 +520,33 @@ class TestArgmin:
 
 
 class TestSequenceKeys:
+    """The key InvariantBackend.order sorts by: a sequence's vertices'
+    stable wl1 classes, in sequence order."""
+
     def test_keys_are_stable_classes_in_sequence_order(self):
         p4 = path_graph(4)
         classes, _ = wl1_refine(p4)
-        assert classes[1] == classes[4] != classes[2] == classes[3]
-        keys = sequence_keys(classes, [(1, 2), (2, 1), (4, 3)])
         end, inner = classes[1], classes[2]
-        assert keys == [(end, inner), (inner, end), (end, inner)]
+        assert classes[4] == end != inner == classes[3]
+        seqs = [(1, 2), (2, 1), (4, 3)]
+        # (1, 2) and (4, 3) share the key (end, inner) and tie in code
+        if (end, inner) < (inner, end):
+            expected = [(1, 2), (4, 3), (2, 1)]
+        else:
+            expected = [(2, 1), (1, 2), (4, 3)]
+        for backend in (Wl1Backend(), BruteForceBackend()):
+            assert list(backend.order(p4, seqs, 0)) == expected
+            assert list(backend.order(p4, seqs, 0, classes)) == expected
 
     def test_keys_follow_relabeling(self):
         g = gen_family("random_gnp", n=7, p=0.4, seed=3)
         seqs = list(itertools.permutations(g.vertices, 2))
-        keys = dict(zip(seqs, sequence_keys(wl1_refine(g)[0], seqs)))
         lab = Labeling([3, 5, 1, 7, 2, 4, 6])
         h = apply_permutation(g, lab)
         image = [(lab[a], lab[b]) for a, b in seqs]
-        assert sequence_keys(wl1_refine(h)[0], image) == [keys[s] for s in seqs]
+        for backend in (Wl1Backend(), BruteForceBackend()):
+            ordered = [(lab[a], lab[b]) for a, b in backend.order(g, seqs, 0)]
+            assert list(backend.order(h, image, 0)) == ordered
 
 
 # Canonical forms of fixed seeded inputs under both canonizers. A refactor must

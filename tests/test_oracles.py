@@ -193,6 +193,17 @@ class TestGenerators:
             assert a == b
             assert a != c or family == "tree" and a == c  # distinct seeds usually differ
 
+    @pytest.mark.parametrize("family", ["random_gnp", "partial_k_tree"])
+    @pytest.mark.parametrize("p", [-1.0, -0.01, 1.01, 2.0, float("nan"), float("inf")])
+    def test_probability_outside_unit_interval_refused(self, family, p):
+        with pytest.raises(InvalidGraphError, match="p must lie in"):
+            gen_family(family, n=8, k=2, p=p, seed=1)
+
+    def test_probability_bounds_accepted(self):
+        assert gen_family("random_gnp", n=5, p=0.0).edges == frozenset()
+        assert len(gen_family("random_gnp", n=5, p=1.0).edges) == 10
+        assert len(gen_family("partial_k_tree", n=6, k=2, p=0.0).edges) == 9
+
     def test_tree_is_tree(self):
         for seed in range(10):
             t = gen_family("tree", n=9, seed=seed)

@@ -23,7 +23,7 @@ from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
 from graphcanon.mincode import minimum_encoding
 from graphcanon.parallel import FALLBACK, Diagnostic, RunStats
 
-from .conftest import count_scratch_refinements
+from .conftest import count_scratch_refinements, path_graph
 
 BF = BruteForceBackend()
 
@@ -125,6 +125,14 @@ class TestCanonRigidity:
         k11 = ColoredGraph(11, list(itertools.combinations(range(1, 12), 2)))
         with pytest.raises(OracleCapacityError):
             canon_rigidity(k11, 1, Wl1Backend())
+
+    def test_bf_above_oracle_cap_refuses_before_coding(self):
+        # the cap is checked before any sequence is keyed or coded
+        for r in (1, 2):
+            stats = RunStats()
+            with pytest.raises(OracleCapacityError):
+                canon_rigidity(path_graph(11), r, BF, stats=stats)
+            assert stats.invariant_calls == 0
 
     def test_bijection_and_sequence_block(self):
         g = gen_family("tree", n=7, seed=9)

@@ -458,12 +458,12 @@ def test_precolored_alias_regression():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_precolored_form_invariant_under_random_relabeling(data):
-    # colors up to 2W+1 at r=2 (W = 6) reach into the first two depth blocks
+    # colors up to 2W+1 (W = 2^r + r) reach into the first two depth blocks
     n = data.draw(st.integers(min_value=1, max_value=6))
-    r = data.draw(st.sampled_from([1, 2]))
+    r = data.draw(st.sampled_from([1, 2, 3]))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    palette = st.sets(st.integers(min_value=0, max_value=13), max_size=2)
+    palette = st.sets(st.integers(min_value=0, max_value=2 * (2**r + r) + 1), max_size=2)
     colors = {v: data.draw(palette) for v in range(1, n + 1)}
     g = ColoredGraph(n, [e for e, keep in zip(pairs, mask) if keep], colors)
     h = apply_permutation(g, Labeling(data.draw(permutations_of(n))))
@@ -474,10 +474,14 @@ def test_precolored_form_invariant_under_random_relabeling(data):
 
 def reference_root_choice(graph, r, backend):
     """The root scope's separator, by the rule written out: the separating
-    r-sequences, narrowed to those of minimal key (the tuple of their stable
-    wl1 classes), then the first code-minimal one, coded with
-    individualization colors b+1..b+r as recolorings of the scope."""
-    seqs = mark_separating_sequences(graph, r)
+    r-sequences (every ordering of the vertices of a root with at most r),
+    narrowed to those of minimal key (the tuple of their stable wl1 classes),
+    then the first code-minimal one, coded with individualization colors
+    b+1, b+2, ... as recolorings of the scope."""
+    if graph.n <= r:
+        seqs = list(itertools.permutations(graph.vertices))
+    else:
+        seqs = mark_separating_sequences(graph, r)
     classes, _ = wl1_refine(graph)
     keys = [tuple(classes[v] for v in s) for s in seqs]
     seqs = [s for s, k in zip(seqs, keys) if k == min(keys)]
@@ -505,6 +509,16 @@ def test_separator_choice_equals_reference_rule(backend):
             assert [lab[v] for v in chosen] == list(range(1, r + 1)), (seed, r)
             checked += 1
     assert checked >= 40
+    # roots of at most r vertices, plain and precolored: the chosen ordering
+    # is the whole labeling
+    small = 0
+    for g in every_labeled_graph(3):
+        for h in (g, colored_copy(g, g.n + len(g.edges))):
+            for r in range(max(1, h.n), 4):
+                chosen = reference_root_choice(h, r, backend)
+                assert canon_separator(h, r, backend) == Labeling.from_position_order(chosen)
+                small += 1
+    assert small == 36
 
 
 def test_separating_sequences_equal_definition_on_every_small_graph():
@@ -551,24 +565,30 @@ def test_separating_sequences_walk_no_component_per_set(monkeypatch, make, r):
 
 
 def test_each_scope_refined_from_scratch_once_under_bf(monkeypatch):
-    # bf hands down no partition, so every scope with n > r refines once for
-    # its keys; mark_separating_sequences runs once on each such scope
+    # bf hands down no partition, so every scope with more than one candidate
+    # refines once for its keys: every scope with n > r, and every one of at
+    # most r vertices but at least two; a one-vertex scope has one ordering
     scopes = []
-    real = separator.mark_separating_sequences
+    real = separator._rank_scope
 
-    def recording(graph, r):
-        scopes.append(graph)
-        return real(graph, r)
+    def recording(scope, *args):
+        scopes.append(scope)
+        return real(scope, *args)
 
-    monkeypatch.setattr(separator, "mark_separating_sequences", recording)
+    monkeypatch.setattr(separator, "_rank_scope", recording)
     scratch = count_scratch_refinements(monkeypatch)
+    sizes = set()
     for g, r in ((path_graph(7), 1), (gen_family("tree", n=10, seed=3), 1),
-                 (gen_family("partial_k_tree", n=10, k=2, seed=4), 3)):
+                 (gen_family("partial_k_tree", n=10, k=2, seed=4), 3),
+                 (gen_family("tree", n=9, seed=1), 2),
+                 (gen_family("partial_k_tree", n=9, k=2, seed=0), 3)):
         scopes.clear()
         scratch.clear()
         canon_separator(g, r, BF)
+        sizes.update(h.n for h in scopes if h.n <= r)
         assert len(scopes) > 1
-        assert [id(h) for h in scratch] == [id(h) for h in scopes]
+        assert [id(h) for h in scratch] == [id(h) for h in scopes if h.n > 1]
+    assert {1, 2, 3} <= sizes
 
 
 def test_each_scope_refined_from_scratch_at_most_once(monkeypatch):
