@@ -225,10 +225,12 @@ def cmd_bench(args) -> int:
     _check_r(args.method, args.r)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    # every graph is built before the header, so bad family parameters
+    # leave standard output empty
+    seeds = range(args.seed, args.seed + args.trials)
+    graphs = [gen_family(args.family, n=args.n, k=args.k, p=args.p, seed=s) for s in seeds]
     _emit(BENCH_COLUMNS + "\n")
-    for trial in range(args.trials):
-        seed = args.seed + trial
-        graph = gen_family(args.family, n=args.n, k=args.k, p=args.p, seed=seed)
+    for seed, graph in zip(seeds, graphs):
         stats = RunStats(args.workers)
         started = time.perf_counter()
         _canonize(graph, args, stats)

@@ -1,18 +1,20 @@
 """Canonical labeling by balanced-separator recursion over a pluggable invariant.
 
 The recursion at depth d works on a colored scope graph H. Its candidates are
-the separating r-sequences, or, when H has at most r vertices, every ordering
-of its vertices: such a scope is its own separator. It takes the first
-candidate of InvariantBackend.order: of minimal key (its vertices' stable
-wl1 classes), then of minimal code (its individualized coloring), then
-first in position. It puts the chosen vertices first, splits the rest into
-flaps colored by their adjacency pattern toward the separator, orders flap
-blocks by their invariant codes, and recurses. Under wl1 only the root
-refines from scratch: one restart of a scope, its chosen sequence
-individualized, codes all its flaps and hands each the stable partition that
-its own keys and candidate codes restart from. Other backends hand down no
-partition, so each scope with more than one candidate refines once for its
-keys.
+the separating r-sequences of minimal key, the tuple of their vertices'
+stable wl1 classes, found by a search that visits (r-1)-set heads in key
+order and stops once no head can reach the least key; or, when H has at most
+r vertices, every ordering of its vertices: such a scope is its own
+separator. It takes the first candidate of InvariantBackend.order: of
+minimal key, then of minimal code (its individualized coloring), then first
+in position. It puts the chosen vertices first, splits the rest into flaps
+colored by their adjacency pattern toward the separator, orders flap blocks
+by their invariant codes, and recurses. Under wl1 only the root refines from
+scratch: one restart of a scope, its chosen sequence individualized, codes
+all its flaps and hands each the stable partition that its own search, keys
+and candidate codes restart from. Other backends hand down no partition, so
+each scope of more than r vertices refines once before its search, and each
+smaller one with more than one candidate once for its keys.
 
 Let b be the root graph's largest input color (0 on an uncolored graph) and
 W = 2^r + r. Colors introduced at depth d live in the block
@@ -87,26 +89,64 @@ def is_separator(graph: ColoredGraph, vertex_set) -> bool:
     return _split(graph, vertex_set)[1]
 
 
-def mark_separating_sequences(graph: ColoredGraph, r: int):
-    """All ordered r-sequences of distinct vertices whose set is a separator
-    (see is_separator), in lexicographic order. Empty when none exist.
+def mark_separating_sequences(graph: ColoredGraph, r: int, classes=None):
+    """The ordered r-sequences of distinct vertices whose set is a separator
+    (see is_separator) and whose key is minimal, in lexicographic order.
+    Empty when none exist.
 
-    Each r-set is its first r-1 vertices (the head) plus one larger vertex v.
-    One lowpoint DFS on G minus the head gives, for every v at once, the
-    largest component of G minus the head minus v, so the work is C(n, r-1)
-    linear passes rather than one component walk per r-set.
+    The key of a sequence is the tuple of its vertices' classes (`classes`
+    maps each vertex to a comparable class; with None all vertices share one
+    class, so every separating sequence is returned). A set's least key is
+    its sorted class tuple, which its class-nondecreasing orderings take.
+
+    With the vertices ranked by (class, vertex), each r-set is its r-1
+    lowest-ranked vertices (the head) plus one vertex v ranked after them,
+    and the head's class tuple is the prefix of the set's least key. Heads
+    come in nondecreasing order of their class tuples. One lowpoint DFS on G
+    minus a head gives, for every v at once, the largest component of G
+    minus the head minus v. The search stops at the first head whose class
+    tuple exceeds the prefix of the least key found, so it runs at most
+    C(n-1, r-1) linear passes, and only as many as it takes to reach that key.
     """
     if r < 1:
         raise ContractViolationError("separator sequences need r >= 1")
     n = graph.n
-    out = []
-    for head in itertools.combinations(range(1, n), r - 1):
+    if classes is None:
+        classes = dict.fromkeys(graph.vertices, 0)
+    ranked = sorted(graph.vertices, key=classes.__getitem__)  # stable: ties by vertex
+    best, sets = None, []
+    for head, prefix in _heads_by_class(ranked[:-1], classes, r - 1):
+        if best is not None and prefix > best[:-1]:
+            break
         largest = graph.largest_components_without(head)
-        for v in range(head[-1] + 1 if head else 1, n + 1):
+        for v in ranked[ranked.index(head[-1]) + 1 if head else 0:]:
             if 2 * largest[v] <= n:
-                out.extend(itertools.permutations(head + (v,)))
-    out.sort()
-    return out
+                key = prefix + (classes[v],)
+                if best is None or key < best:
+                    best, sets = key, []
+                if key == best:
+                    sets.append(head + (v,))
+    return sorted(
+        seq
+        for s in sets
+        for seq in itertools.permutations(s)
+        if tuple(classes[v] for v in seq) == best
+    )
+
+
+def _heads_by_class(ranked, classes, k: int):
+    """Every k-subset of `ranked` (vertices in (class, vertex) order) as a
+    rank-ordered tuple, with its class tuple, lazily in nondecreasing order
+    of class tuples and in rank order among equal ones."""
+    if not k:  # r = 1: the one empty head, without grouping the classes
+        yield (), ()
+        return
+    members = {c: list(run) for c, run in itertools.groupby(ranked, classes.__getitem__)}
+    for prefix in itertools.combinations_with_replacement(members, k):
+        runs = itertools.groupby(prefix)
+        per_class = [itertools.combinations(members[c], len(list(run))) for c, run in runs]
+        for parts in itertools.product(*per_class):
+            yield sum(parts, ()), prefix
 
 
 def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun):
@@ -164,14 +204,16 @@ def canon_separator(
 def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition=None):
     """The scope's vertices in canonical order. `partition` is the scope's
     stable wl1 coloring when its parent's flap codes handed it down;
-    otherwise the scope is refined once, for its keys. A scope of at most r
-    vertices is its own separator and returns its chosen ordering."""
+    otherwise the scope is refined once, for its search and keys. A scope of
+    at most r vertices is its own separator and returns its chosen ordering."""
     stats.observe_depth(depth)
     base = run.color_base + (depth - 1) * run.block_width
     if scope.n <= run.r:
         orderings = list(itertools.permutations(scope.vertices))
         return list(next(run.backend.order(scope, orderings, base, partition, stats)))
-    sequences = mark_separating_sequences(scope, run.r)
+    if partition is None:  # the search keys by it; under wl1 the flap codes restart from it
+        partition, _ = invariant.wl1_refine(scope)
+    sequences = mark_separating_sequences(scope, run.r, partition)
     if not sequences:
         stats.diagnose(
             FALLBACK,
@@ -183,8 +225,6 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
         _, labeling = minimum_encoding(scope, stats=stats)
         return list(labeling.inverse())
 
-    if partition is None:  # the flap codes restart from it under wl1
-        partition, _ = invariant.wl1_refine(scope)
     chosen = next(run.backend.order(scope, sequences, base, partition, stats))
 
     flaps = decompose_flaps(scope, chosen, depth, run)

@@ -317,6 +317,17 @@ class TestBench:
         assert proc.returncode == 2
         assert proc.stdout == b""
 
+    @pytest.mark.parametrize(
+        "family_args",
+        [["--family", "random_gnp", "--n", "6", "--p", "1.5"], ["--family", "tree"]],
+        ids=["p-above-one", "tree-without-n"],
+    )
+    def test_bad_family_parameters_write_no_header(self, family_args):
+        proc = run_cli("bench", *family_args, "--method", "separator")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
+
     def test_stable_columns_across_workers(self):
         rows = []
         for workers in ("1", "4"):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from graphcanon import (
     ColoredGraph,
     ContractViolationError,
     Labeling,
+    Lcg64,
     OracleCapacityError,
     apply_permutation,
     canon_separator,
@@ -43,8 +45,6 @@ WL1 = Wl1Backend()
 
 
 def relabelings(n, count, seed):
-    from graphcanon import Lcg64
-
     rng = Lcg64(seed)
     out = []
     for _ in range(count):
@@ -521,11 +521,30 @@ def test_separator_choice_equals_reference_rule(backend):
     assert small == 36
 
 
+def tied_classes(g, seed):
+    """A seeded class map of g with many ties: three classes at most."""
+    rng = Lcg64(seed)
+    return {v: rng.randrange(3) for v in g.vertices}
+
+
+def assert_minimal_key_search(g, r, seed):
+    """With no classes, the search returns every separating sequence; under
+    the stable wl1 classes and under a seeded tied class map, those of
+    minimal key."""
+    every = separating_sequences_by_definition(g, r)
+    assert mark_separating_sequences(g, r) == every
+    for classes in (wl1_refine(g)[0], tied_classes(g, seed)):
+        keys = [tuple(classes[v] for v in s) for s in every]
+        least = min(keys, default=None)
+        minimal = [s for s, key in zip(every, keys) if key == least]
+        assert mark_separating_sequences(g, r, classes) == minimal, (g, r, classes)
+
+
 def test_separating_sequences_equal_definition_on_every_small_graph():
     graphs = 0
     for g in every_labeled_graph(5):
         for r in range(1, g.n + 2):
-            assert mark_separating_sequences(g, r) == separating_sequences_by_definition(g, r)
+            assert_minimal_key_search(g, r, graphs)
         graphs += 1
     assert graphs == 1 + 1 + 2 + 8 + 64 + 1024
 
@@ -538,8 +557,18 @@ def test_separating_sequences_equal_definition_on_seeded_gnp():
         disconnected += not g.is_connected()
         isolated += any(g.degree(v) == 0 for v in g.vertices)
         for r in (1, 2, 3):
-            assert mark_separating_sequences(g, r) == separating_sequences_by_definition(g, r)
+            assert_minimal_key_search(g, r, seed)
     assert disconnected >= 50 and isolated >= 50
+
+
+def test_minimal_key_sequences_equal_definition_on_seeded_partial_k_trees():
+    disconnected = 0
+    for seed in range(60):
+        g = gen_family("partial_k_tree", n=6 + seed % 9, k=2 + seed % 2, p=0.4, seed=seed)
+        disconnected += not g.is_connected()
+        for r in (1, 2, 3):
+            assert_minimal_key_search(g, r, seed)
+    assert disconnected >= 10
 
 
 BENCH_SCOPES = (
@@ -551,8 +580,8 @@ BENCH_SCOPES = (
 @pytest.mark.parametrize("make,r", BENCH_SCOPES, ids=["tree200-r1", "2tree40-r3"])
 def test_separating_sequences_equal_definition_on_large_scopes(make, r):
     g = make()
-    seqs = mark_separating_sequences(g, r)
-    assert seqs and seqs == separating_sequences_by_definition(g, r)
+    assert mark_separating_sequences(g, r)
+    assert_minimal_key_search(g, r, 1)
 
 
 @pytest.mark.parametrize("make,r", BENCH_SCOPES, ids=["tree200-r1", "2tree40-r3"])
@@ -564,10 +593,42 @@ def test_separating_sequences_walk_no_component_per_set(monkeypatch, make, r):
     assert walks == [] and tests == []
 
 
+def count_dfs_passes(monkeypatch) -> list:
+    """Record the removed set of every largest_components_without call."""
+    passes = []
+    real = ColoredGraph.largest_components_without
+
+    def counting(self, removed=()):
+        passes.append(removed)
+        return real(self, removed)
+
+    monkeypatch.setattr(ColoredGraph, "largest_components_without", counting)
+    return passes
+
+
+def test_minimal_key_search_stops_after_the_least_prefix(monkeypatch):
+    # every (r-1)-set head of the 2-tree would be C(39, 2) = 741 passes
+    g = gen_family("k_tree", n=40, k=2, seed=1)
+    classes, _ = wl1_refine(g)
+    passes = count_dfs_passes(monkeypatch)
+    assert mark_separating_sequences(g, 3, classes)
+    assert len(passes) <= math.comb(39, 2) // 10
+
+
+def test_search_without_a_separator_runs_one_pass_per_head_at_most(monkeypatch):
+    # a head holding the last-ranked vertex has no vertex ranked after it
+    passes = count_dfs_passes(monkeypatch)
+    for g, r in ((complete_graph(5), 2), (complete_graph(7), 3)):
+        for classes in (None, wl1_refine(g)[0], tied_classes(g, g.n)):
+            passes.clear()
+            assert mark_separating_sequences(g, r, classes) == []
+            assert len(passes) <= math.comb(g.n - 1, r - 1)
+
+
 def test_each_scope_refined_from_scratch_once_under_bf(monkeypatch):
-    # bf hands down no partition, so every scope with more than one candidate
-    # refines once for its keys: every scope with n > r, and every one of at
-    # most r vertices but at least two; a one-vertex scope has one ordering
+    # bf hands down no partition, so every scope refines once: one with n > r
+    # before its separator search, and one of at most r vertices but at least
+    # two for its keys; a one-vertex scope has one ordering
     scopes = []
     real = separator._rank_scope
 
@@ -602,8 +663,6 @@ def test_each_scope_refined_from_scratch_at_most_once(monkeypatch):
 
 def colored_copy(g, seed):
     """g with a color from 1..3 on each vertex with chance 0.4."""
-    from graphcanon import Lcg64
-
     rng = Lcg64(seed)
     colors = {v: {1 + rng.randrange(3)} for v in g.vertices if rng.chance(0.4)}
     return ColoredGraph(g.n, g.edges, colors)
