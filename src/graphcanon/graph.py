@@ -97,22 +97,45 @@ class ColoredGraph:
         graph._set_colors(merged)
         return graph
 
-    def induced_subgraph(self, vertices):
+    def induced_subgraph(self, vertices, extra=None):
         """Renumbered induced subgraph plus the map from new ids back to originals.
 
         New vertices 1..t follow the sorted order of the kept originals.
+        `extra` maps kept originals to colors unioned onto theirs, as in
+        with_extra_colors. The subgraph is built in one pass from the kept
+        vertices' neighbor sets; the colors it keeps from this graph are not
+        checked again.
         """
         kept = sorted(set(vertices))
         if kept and not 1 <= kept[0] <= kept[-1] <= self.n:
             raise InvalidGraphError(f"subgraph vertices must lie in 1..{self.n}")
-        index = {v: i + 1 for i, v in enumerate(kept)}
-        keptset = set(kept)
-        edges = [
-            (index[a], index[b]) for (a, b) in self.edges if a in keptset and b in keptset
-        ]
-        colors = {index[v]: self.colors[v] for v in kept if v in self.colors}
-        origin = {i + 1: v for i, v in enumerate(kept)}
-        return ColoredGraph(len(kept), edges, colors), origin
+        index = {v: i for i, v in enumerate(kept, 1)}
+        extra = extra or {}
+        adj, colors = {}, {}
+        for v, i in index.items():
+            adj[i] = frozenset(map(index.__getitem__, index.keys() & self._adj[v]))
+            cs = self.colors.get(v)
+            add = extra.get(v)
+            if add:
+                add = frozenset(add)
+                if min(add) < 0:
+                    raise InvalidGraphError("colors must be non-negative integers")
+                cs = cs | add if cs else add
+            if cs:
+                colors[i] = cs
+        edges = frozenset([(i, j) for i, nb in adj.items() for j in nb if i < j])
+        graph = ColoredGraph._from_parts(len(kept), edges, adj, colors)
+        return graph, dict(enumerate(kept, 1))
+
+    @classmethod
+    def _from_parts(cls, n, edges, adj, colors) -> "ColoredGraph":
+        """A graph from parts already in the form __init__ gives them: canonical
+        edges, a frozenset of neighbors per vertex, non-empty color frozensets.
+        Nothing is checked."""
+        graph = cls.__new__(cls)
+        graph.n, graph.edges, graph._adj, graph.colors = n, edges, adj, colors
+        graph._key = (n, edges, frozenset(colors.items()))
+        return graph
 
     def components(self, removed=()):
         """Connected components of the graph minus `removed`, as frozensets,

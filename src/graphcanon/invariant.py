@@ -271,6 +271,50 @@ def bf_invariant(graph: ColoredGraph, cap: int | None = None, stats=None) -> Can
     return code
 
 
+def key_groups(partition: dict, r: int):
+    """The r-sequences of distinct vertices, lazily, one key group at a time.
+
+    The key of a sequence is the tuple of its vertices' classes in
+    `partition` (vertex -> class), as in InvariantBackend.order. Groups come
+    in key order, and each is a list in lexicographic vertex order, so the
+    groups joined are itertools.permutations of the sorted vertices, sorted
+    stably by key. The walk over class tuples visits only those whose class
+    counts fit the class sizes, and yields nothing when r exceeds the number
+    of vertices.
+    """
+    if r > len(partition):
+        return
+    if not r:
+        yield [()]
+        return
+    members: dict = {}
+    for v in sorted(partition):
+        members.setdefault(partition[v], []).append(v)
+    classes = sorted(members)
+    room = {c: len(vs) for c, vs in members.items()}
+    key: list = []
+    stack = [iter(classes)]  # per position of the key, the classes left to try
+    while stack:
+        for c in stack[-1]:
+            if room[c]:
+                break
+        else:
+            stack.pop()
+            if key:
+                room[key.pop()] += 1
+            continue
+        room[c] -= 1
+        key.append(c)
+        if len(key) < r:
+            stack.append(iter(classes))
+            continue
+        group = itertools.product(*(members[c] for c in key))
+        if len(set(key)) < r:  # a repeated class may repeat a vertex
+            group = (seq for seq in group if len(set(seq)) == r)
+        yield list(group)
+        room[key.pop()] += 1
+
+
 class InvariantBackend:
     """An invariant as a reusable object: equal codes on isomorphic colored graphs.
 

@@ -11,9 +11,12 @@ InvariantBackend.order, the rule the separator recursion chooses by too: by
 key, the tuple of their vertices' stable wl1 classes, and within one key by
 the code of their individualized coloring; the first fixing one is chosen.
 Only a key shared by several sequences needs those codes, so on a graph that
-refinement makes discrete no sequence is coded at all. The stable partition
-behind the keys is computed once; under wl1 every sequence and probe code
-restarts from it.
+refinement makes discrete no sequence is coded at all. The candidates arrive
+one key group at a time (invariant.key_groups), from a walk over class tuples
+that skips those the class sizes rule out, and `order` is handed each group
+alone, never all P(n, r) sequences: the search builds only the groups up to
+the first fixing probe. The stable partition behind the keys is computed
+once; under wl1 every sequence and probe code restarts from it.
 
 The base b is the graph's largest input color (0 on an uncolored graph), so
 an individualization color never aliases an input color. b is an isomorphism
@@ -108,6 +111,8 @@ def canon_rigidity(
     their vertices' stable wl1 classes; within one key, in (code of the
     individualized coloring, lexicographic order). The first fixing one is
     chosen, which is the fixing sequence of minimal (key, code, order).
+    Key groups are built one at a time, in key order, and each is handed to
+    `order` alone, so no group after the chosen one is built.
     Sequence vertices receive labels 1..r, and the rest are ranked by their
     per-vertex codes (distinct by the fixing property) shifted by r.
     `workers` is accepted for compatibility and ignored.
@@ -117,8 +122,12 @@ def canon_rigidity(
     stats = stats if stats is not None else RunStats(workers)
     stats.observe_depth(1)
     partition, _ = invariant.wl1_refine(graph)
-    sequences = list(itertools.permutations(graph.vertices, r))
-    for seq in backend.order(graph, sequences, graph.top_color(), partition, stats):
+    base = graph.top_color()
+    candidates = itertools.chain.from_iterable(
+        backend.order(graph, group, base, partition, stats)
+        for group in invariant.key_groups(partition, r)
+    )
+    for seq in candidates:
         best = _probe(graph, seq, backend, stats, partition)
         if best.fixing:
             break

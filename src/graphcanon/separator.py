@@ -154,7 +154,9 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
 
     Each flap vertex gains the pattern color
     b + (d-1)*W + r + 1 + sum of 2^(i-1) over the sequence positions i it is
-    adjacent to, on top of its inherited colors. Flaps are renumbered 1..t and
+    adjacent to, on top of its inherited colors; the bits come from the
+    sequence vertices' neighbor sets. Each flap is built once, by
+    induced_subgraph from the scope's adjacency. Flaps are renumbered 1..t and
     keep their origin maps; they are ordered by smallest original vertex.
     """
     sequence = tuple(sequence)
@@ -164,13 +166,11 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
     if not balanced:
         raise ContractViolationError("sequence is not a separator of this scope")
     base = run.color_base + (depth - 1) * run.block_width + run.r + 1
-    pattern = {
-        v: [base + sum(1 << i for i, s in enumerate(sequence) if graph.has_edge(v, s))]
-        for comp in comps
-        for v in comp
-    }
-    colored = graph.with_extra_colors(pattern)
-    return [Flap(*colored.induced_subgraph(comp)) for comp in comps]
+    pattern = {v: [base] for v in graph.vertices}
+    for i, s in enumerate(sequence):
+        for v in graph.neighbors(s):
+            pattern[v][0] += 1 << i
+    return [Flap(*graph.induced_subgraph(comp, pattern)) for comp in comps]
 
 
 def canon_separator(

@@ -259,6 +259,19 @@ class TestSubgraph:
                 g.induced_subgraph(vertices)
         assert g.induced_subgraph([])[0] == ColoredGraph(0)
 
+    def test_induced_subgraph_with_extra_colors_equals_recolor_then_induce(self):
+        for g in seeded_small_graphs():
+            extra = {v: [v % 3, 7] for v in g.vertices if v % 2}
+            for removed in small_vertex_sets(g):
+                kept = [v for v in g.vertices if v not in removed]
+                expected = g.with_extra_colors(extra).induced_subgraph(kept)
+                assert g.induced_subgraph(kept, extra) == expected
+
+    def test_induced_subgraph_rejects_negative_extra_color(self, p3):
+        with pytest.raises(InvalidGraphError):
+            p3.induced_subgraph([1, 2], {2: [-1]})
+        assert p3.induced_subgraph([1], {2: [-1]})[0] == ColoredGraph(1)  # not kept
+
     def test_components(self, two_triangles):
         comps = two_triangles.components()
         assert comps == [frozenset({1, 2, 3}), frozenset({4, 5, 6})]

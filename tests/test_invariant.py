@@ -28,6 +28,7 @@ from graphcanon import (
     wl1_refine,
     wlk_refine,
 )
+from graphcanon.invariant import key_groups
 from graphcanon.parallel import RunStats
 
 from .conftest import (
@@ -517,6 +518,60 @@ class TestArgmin:
         assert scratch == [] and stats.invariant_calls == g.n
         assert Wl1Backend().codes(g, marks) == given
         assert scratch == [g]
+
+
+def reference_key_order(classes, r):
+    """Every r-sequence of distinct vertices, in itertools.permutations order
+    sorted stably by key: the order key_groups yields lazily."""
+    sequences = itertools.permutations(sorted(classes), r)
+    return sorted(sequences, key=lambda s: tuple(classes[v] for v in s))
+
+
+class TestKeyGroups:
+    """key_groups, the candidates canon_rigidity hands to order one key
+    group at a time."""
+
+    @staticmethod
+    def seeded_partitions():
+        for g in (path_graph(4), path_graph(6), complete_graph(5)):
+            yield wl1_refine(g)[0]
+        for seed in range(1, 5):
+            yield wl1_refine(gen_family("random_gnp", n=7, p=0.3, seed=seed))[0]
+            yield wl1_refine(gen_family("tree", n=6, seed=seed))[0]
+        yield {}
+        yield {1: 0, 2: 5, 3: 0, 4: 2, 5: 5, 6: 0}  # arbitrary class ids
+
+    def test_groups_joined_equal_the_reference_order(self):
+        for classes in self.seeded_partitions():
+            n = len(classes)
+            for r in sorted({0, 1, 2, 3, 4, n, n + 1}):
+                groups = list(key_groups(classes, r))
+                assert [s for g in groups for s in g] == reference_key_order(classes, r)
+                keys = [{tuple(classes[v] for v in s) for s in g} for g in groups]
+                assert all(len(k) == 1 for k in keys)  # one non-empty key per group
+                assert [min(k) for k in keys] == sorted(min(k) for k in keys)
+                assert len(set(map(min, keys))) == len(keys)
+
+    def test_nothing_above_the_vertex_count(self):
+        for classes in self.seeded_partitions():
+            assert list(key_groups(classes, len(classes) + 1)) == []
+
+    def test_first_group_at_r_equal_n_on_a_discrete_partition(self):
+        # one class per vertex, in reverse vertex order: the first group is
+        # the one sequence in class order, the last of all in vertex order
+        classes = {v: 9 - v for v in range(1, 9)}
+        assert next(key_groups(classes, 8)) == [tuple(range(8, 0, -1))]
+
+    def test_order_over_each_group_equals_reference_order(self):
+        # handing order one group at a time gives order's rule on every
+        # sequence: (key, code, position)
+        p4 = TestArgmin.P4
+        classes, _ = wl1_refine(p4)
+        for backend in (Wl1Backend(), BruteForceBackend()):
+            got = [
+                s for g in key_groups(classes, 2) for s in backend.order(p4, g, 0, classes)
+            ]
+            assert got == reference_order(backend, p4, TestArgmin.PAIRS, 0)
 
 
 class TestSequenceKeys:

@@ -207,6 +207,23 @@ class TestCanonRigidity:
         assert stats.invariant_calls == 18
         assert scratch == [g]
 
+    def test_r_equal_n_and_above_on_refinement_discrete_graph(self):
+        # at r = n the first key group is one sequence of every vertex, which
+        # is fixing: n probe codes and no diagnostic; above n there is no
+        # sequence, and the fallback is the one call
+        g = gen_family("random_gnp", n=9, p=0.3, seed=2)
+        coloring, _ = wl1_refine(g)
+        assert len(set(coloring.values())) == g.n
+        stats = RunStats()
+        canon_rigidity(g, 9, Wl1Backend(), stats=stats)
+        assert (stats.invariant_calls, stats.diagnostics) == (9, [])
+        stats = RunStats()
+        canon_rigidity(g, 10, Wl1Backend(), stats=stats)
+        assert stats.invariant_calls == 1
+        assert stats.diagnostics == [
+            Diagnostic(FALLBACK, 1, 9, "no fixing 10-sequence; minimum-encoding fallback")
+        ]
+
     def test_fallback_diagnostic_record(self, k3):
         stats = RunStats()
         canon_rigidity(k3, 1, Wl1Backend(), stats=stats)

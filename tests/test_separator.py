@@ -251,23 +251,32 @@ class TestDecomposeFlaps:
                         assert [(f.graph, f.origin) for f in flaps] == expected
 
     def test_one_graph_built_per_flap_and_none_to_test_separators(self, monkeypatch):
+        # a graph is built by __init__ or, from parts already checked, by
+        # _from_parts, the path induced_subgraph takes; both are counted
         built = []
-        init = ColoredGraph.__init__
+        init, from_parts = ColoredGraph.__init__, ColoredGraph._from_parts.__func__
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
             init(self, *args, **kwargs)
 
+        def counting_from_parts(cls, *args):
+            built.append(1)
+            return from_parts(cls, *args)
+
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
         run = SeparatorRun(2, 6, BF)
         monkeypatch.setattr(ColoredGraph, "__init__", counting_init)
+        monkeypatch.setattr(ColoredGraph, "_from_parts", classmethod(counting_from_parts))
         sequences = mark_separating_sequences(g, 2)
         assert sequences and not built
         flaps = decompose_flaps(g, sequences[0], 1, run)
         assert len(built) == len(flaps)
 
     def test_each_flap_colored_once(self, monkeypatch):
-        # one recoloring of the scope, then one induced subgraph per flap
+        # each flap takes its colors from the scope, whose colors were
+        # checked when it was built, plus its pattern color: no color set is
+        # checked again and no recolored scope is built
         calls = []
         set_colors = ColoredGraph._set_colors
 
@@ -280,7 +289,7 @@ class TestDecomposeFlaps:
         seq = next(s for s in mark_separating_sequences(g, 2) if len(g.components(s)) >= 2)
         monkeypatch.setattr(ColoredGraph, "_set_colors", counting)
         flaps = decompose_flaps(g, seq, 1, run)
-        assert len(calls) <= len(flaps) + 1
+        assert flaps and calls == []
 
     def test_flap_partition_property(self):
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
