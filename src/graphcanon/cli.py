@@ -1,9 +1,9 @@
 """Command-line surface: canonize, compare, probe embeddings, generate corpora, bench.
 
-Output is deterministic for fixed inputs and flags; --workers is accepted and
-ignored, and all randomness flows through --seed. Exit codes: 0 success
-(isomorphic, for `iso`), 1 negative verdict or generic failure, 2 malformed
-or unreadable input, 3 oracle or backend capacity exceeded.
+Output is deterministic for fixed inputs and flags; --workers and --check are
+accepted and ignored, and all randomness flows through --seed. Exit codes: 0
+success (isomorphic, for `iso`), 1 negative verdict or generic failure, 2
+malformed or unreadable input, 3 oracle or backend capacity exceeded.
 """
 
 from __future__ import annotations
@@ -93,9 +93,7 @@ def _canonize(graph, args, stats: RunStats) -> Labeling:
         return labeling
     backend = backend_from_selector(args.invariant)
     if args.method == "separator":
-        return canon_separator(
-            graph, args.r, backend, check=args.check, workers=args.workers, stats=stats
-        )
+        return canon_separator(graph, args.r, backend, workers=args.workers, stats=stats)
     if args.method == "rigidity":
         return canon_rigidity(graph, args.r, backend, workers=args.workers, stats=stats)
     raise GraphCanonError(f"unknown method {args.method!r}")
@@ -120,9 +118,7 @@ def cmd_iso(args) -> int:
     second = _read_graph(args.inputs[1], args.format)
     backend = backend_from_selector(args.invariant)
     stats = RunStats(args.workers)
-    mapping = find_isomorphism(
-        first, second, args.r, backend, check=args.check, workers=args.workers, stats=stats
-    )
+    mapping = find_isomorphism(first, second, args.r, backend, workers=args.workers, stats=stats)
     for diag in stats.diagnostics:
         print(f"diagnostic: {diag}", file=sys.stderr)
     if mapping is None:
@@ -269,7 +265,7 @@ def _add_method_flags(parser):
     )
     parser.add_argument("--invariant", default="wl1", help="wl1 | wlk:<k> | bf")
     parser.add_argument("--r", type=int, default=1, help="sequence length bound")
-    parser.add_argument("--check", action="store_true", help="enable oracle cross-checks")
+    parser.add_argument("--check", action="store_true", help=WORKERS_HELP)
     parser.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
 
@@ -289,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(p, two=True)
     p.add_argument("--invariant", default="wl1")
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--check", action="store_true", help=WORKERS_HELP)
     p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_iso)
 

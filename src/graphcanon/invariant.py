@@ -2,8 +2,9 @@
 
 Every backend maps a colored graph to a CanonicalCode and returns equal codes on
 isomorphic inputs. Only the brute-force backend is complete on all colored
-graphs; the WL backends are complete on restricted classes only, and the
-canonizers treat that as an assumption to be checked, not a guarantee.
+graphs; the WL backends are complete on restricted classes only. The
+separator recursion settles every code tie by a certificate, so its forms do
+not rest on completeness.
 
 wl1 is one worklist partition-refinement engine (Berkholz, Bonsma & Grohe,
 arXiv:1509.08251; the trace follows nauty's, McKay & Piperno,
@@ -343,7 +344,8 @@ class InvariantBackend:
         return [self.code(scope.with_extra_colors(c), stats) for c in colorings]
 
     def order(self, scope: ColoredGraph, sequences, base: int, partition=None, stats=None):
-        """The sequences, lazily, in (key, code, position) order.
+        """The sequences, lazily, in tie classes: lists of the sequences of
+        equal (key, code), each in position order, in (key, code) order.
 
         The key of a sequence is the tuple of its vertices' classes in
         `partition`, refined here when not given; its code is that of the
@@ -351,11 +353,13 @@ class InvariantBackend:
         scope. Key groups come in key order. A group of one is not coded, and
         a larger one is coded only when it is reached; a lone sequence needs
         no key either. Class ids are cell positions of a label-independent
-        ordered partition, so the order is isomorphism-invariant: this is
-        target-cell selection (McKay & Piperno, arXiv:1301.1493).
+        ordered partition, so each class, as a set, is isomorphism-invariant:
+        this is target-cell selection (McKay & Piperno, arXiv:1301.1493).
+        Position order within a class depends on the labeling.
         """
         if len(sequences) < 2:
-            yield from sequences
+            if sequences:
+                yield list(sequences)
             return
         if partition is None:
             partition, _ = wl1_refine(scope)
@@ -364,12 +368,15 @@ class InvariantBackend:
             groups.setdefault(tuple(partition[v] for v in seq), []).append(seq)
         for key in sorted(groups):
             group = groups[key]
-            if len(group) > 1:
-                colorings = [_individualized(seq, base) for seq in group]
-                codes = self.codes(scope, colorings, partition, stats)
-                # sorted() is stable, so the first position wins code ties
-                group = [group[i] for i in sorted(range(len(group)), key=codes.__getitem__)]
-            yield from group
+            if len(group) == 1:
+                yield group
+                continue
+            colorings = [_individualized(seq, base) for seq in group]
+            tied: dict = {}
+            for seq, code in zip(group, self.codes(scope, colorings, partition, stats)):
+                tied.setdefault(code, []).append(seq)
+            for code in sorted(tied):
+                yield tied[code]
 
     def __call__(self, graph: ColoredGraph) -> CanonicalCode:
         return self.code(graph)

@@ -6,10 +6,11 @@ of those per-vertex colorings are pairwise distinct. With a complete invariant
 this agrees exactly with the automorphism-based fixing test, which is what
 rigidity_consistency_check demonstrates.
 
-Sequences are probed in the isomorphism-invariant order of
-InvariantBackend.order, the rule the separator recursion chooses by too: by
-key, the tuple of their vertices' stable wl1 classes, and within one key by
-the code of their individualized coloring; the first fixing one is chosen.
+Sequences are probed through the tie classes of InvariantBackend.order, the
+rule the separator recursion chooses by too: by key, the tuple of their
+vertices' stable wl1 classes, within one key by the code of their
+individualized coloring, and within a tie class in position order; the first
+fixing one is chosen.
 Only a key shared by several sequences needs those codes, so on a graph that
 refinement makes discrete no sequence is coded at all. The candidates arrive
 one key group at a time (invariant.key_groups), from a walk over class tuples
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ContractViolationError, InvariantFailureError
+from .errors import ContractViolationError
 from .graph import ColoredGraph, Labeling
 from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
 from .invariant import BruteForceBackend, InvariantBackend, _individualized
@@ -107,12 +108,13 @@ def canon_rigidity(
     minimum-encoding labeling with a diagnostic flag; above the oracle cap
     (GRAPHCANON_ORACLE_CAP) that raises OracleCapacityError.
 
-    Sequences are probed in InvariantBackend.order: by key, the tuple of
-    their vertices' stable wl1 classes; within one key, in (code of the
-    individualized coloring, lexicographic order). The first fixing one is
-    chosen, which is the fixing sequence of minimal (key, code, order).
-    Key groups are built one at a time, in key order, and each is handed to
-    `order` alone, so no group after the chosen one is built.
+    Sequences are probed in InvariantBackend.order's tie classes, joined in
+    order: by key, the tuple of their vertices' stable wl1 classes; within
+    one key, in (code of the individualized coloring, lexicographic order).
+    The first fixing one is chosen, which is the fixing sequence of minimal
+    (key, code, order). Key groups are built one at a time, in key order,
+    and each is handed to `order` alone, so no group after the chosen one is
+    built.
     Sequence vertices receive labels 1..r, and the rest are ranked by their
     per-vertex codes (distinct by the fixing property) shifted by r.
     `workers` is accepted for compatibility and ignored.
@@ -123,11 +125,11 @@ def canon_rigidity(
     stats.observe_depth(1)
     partition, _ = invariant.wl1_refine(graph)
     base = graph.top_color()
-    candidates = itertools.chain.from_iterable(
+    tie_classes = itertools.chain.from_iterable(
         backend.order(graph, group, base, partition, stats)
         for group in invariant.key_groups(partition, r)
     )
-    for seq in candidates:
+    for seq in itertools.chain.from_iterable(tie_classes):
         best = _probe(graph, seq, backend, stats, partition)
         if best.fixing:
             break
@@ -143,11 +145,6 @@ def canon_rigidity(
     labels = {v: i + 1 for i, v in enumerate(chosen)}
     rest = [v for v in graph.vertices if v not in labels]
     rest.sort(key=lambda v: codes[v])
-    for i in range(len(rest) - 1):
-        if codes[rest[i]] == codes[rest[i + 1]]:
-            raise InvariantFailureError(
-                "per-vertex codes tied on a sequence marked fixing; invariant is incomplete"
-            )
     for i, v in enumerate(rest):
         labels[v] = r + 1 + i
     return Labeling(labels[v] for v in graph.vertices)

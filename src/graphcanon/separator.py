@@ -5,11 +5,22 @@ the separating r-sequences of minimal key, the tuple of their vertices'
 stable wl1 classes, found by a search that visits (r-1)-set heads in key
 order and stops once no head can reach the least key; or, when H has at most
 r vertices, every ordering of its vertices: such a scope is its own
-separator. It takes the first candidate of InvariantBackend.order: of
-minimal key, then of minimal code (its individualized coloring), then first
-in position. It puts the chosen vertices first, splits the rest into flaps
-colored by their adjacency pattern toward the separator, orders flap blocks
-by their invariant codes, and recurses. Under wl1 only the root refines from
+separator. It tries the first tie class of InvariantBackend.order, the
+candidates of minimal key and then of minimal code (its individualized
+coloring). Each tried candidate goes first; the rest splits into flaps
+colored by their adjacency pattern toward the separator, which recurse, and
+the flap blocks follow in (code, certificate) order.
+
+Every scope returns its order and a certificate: the chosen sequence's
+record (its vertices' colors and the adjacency among them), then one (flap
+code, flap certificate) pair per block. A scope of at most r vertices has
+only its record, and a scope ordered by its minimum encoding has that code.
+The scope labeled by its order is a function of its certificate, since flaps
+share no edges and their pattern colors carry their edges to the sequence;
+and isomorphic scopes get equal certificates. So a scope keeps the tried
+candidate of least certificate, and no tie is settled by vertex names: the
+form is canonical whether or not the invariant is complete (Gurevich 1997;
+McKay & Piperno, arXiv:1301.1493). Under wl1 only the root refines from
 scratch: one restart of a scope, its chosen sequence individualized, codes
 all its flaps and hands each the stable partition that its own search, keys
 and candidate codes restart from. Other backends hand down no partition, so
@@ -30,16 +41,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .errors import ContractViolationError, OracleCapacityError
-from .graph import (
-    ColoredGraph,
-    Labeling,
-    apply_permutation,
-    are_isomorphic_bf,
-    encode,
-    resolve_cap,
-)
+from .errors import ContractViolationError
+from .graph import ColoredGraph, Labeling, apply_permutation, encode
 from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
 from .invariant import InvariantBackend, _individualized
 from .mincode import minimum_encoding
@@ -51,16 +56,17 @@ class SeparatorRun:
     """Fixed parameters of one separator-canonization run."""
 
     r: int
-    block_width: int
     backend: InvariantBackend
-    check: bool = False
     color_base: int = 0  # b, the root graph's largest input color
 
     def __post_init__(self):
         if self.r < 1:
             raise ContractViolationError("separator size bound must be at least 1")
-        if self.block_width != 2**self.r + self.r:
-            raise ContractViolationError("color block width must equal 2^r + r")
+
+    @property
+    def block_width(self) -> int:
+        """W = 2^r + r, the width of one depth's color block."""
+        return 2**self.r + self.r
 
 
 @dataclass(frozen=True)
@@ -177,18 +183,16 @@ def canon_separator(
     graph: ColoredGraph,
     r: int,
     backend: InvariantBackend,
-    check: bool = False,
     workers: int = 1,
     stats: RunStats | None = None,
 ) -> Labeling:
-    """Canonical labeling of the graph, given an invariant complete for the
-    colorings arising in the run.
+    """Canonical labeling of the graph, under every backend.
 
-    A scope chooses the first of its separating r-sequences (every ordering
-    of its vertices when it has at most r) in InvariantBackend.order: the
-    first code-minimal one among those of minimal key, their vertices'
-    stable wl1 classes in order. A single candidate is taken without coding
-    it.
+    A scope tries the first tie class of its separating r-sequences (every
+    ordering of its vertices when it has at most r) in InvariantBackend.order:
+    the code-minimal ones among those of minimal key, their vertices' stable
+    wl1 classes in order. A single candidate is taken without coding it; of
+    several, the one whose recursion gives the least certificate is kept.
 
     A scope with no separating r-sequence, at any depth, is ordered by its
     exact minimum encoding instead (with a diagnostic); above the oracle cap
@@ -196,21 +200,34 @@ def canon_separator(
     `workers` is accepted for compatibility and ignored; it only seeds a fresh
     RunStats."""
     stats = stats if stats is not None else RunStats(workers)
-    run = SeparatorRun(r, 2**r + r, backend, check, graph.top_color())
-    order = _rank_scope(graph, 1, run, stats)
+    order, _ = _rank_scope(graph, 1, SeparatorRun(r, backend, graph.top_color()), stats)
     return Labeling.from_position_order(order)
 
 
+def _record(scope: ColoredGraph, sequence) -> tuple:
+    """The scope labeled by the sequence, restricted to it: each vertex's
+    colors as a sorted tuple, then the adjacency bits among the vertices."""
+    colors = tuple([tuple(sorted(scope.color_set(v))) for v in sequence])
+    bits = 0
+    for u, v in itertools.combinations(sequence, 2):
+        bits = bits << 1 | scope.has_edge(u, v)
+    return colors, bits
+
+
 def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition=None):
-    """The scope's vertices in canonical order. `partition` is the scope's
-    stable wl1 coloring when its parent's flap codes handed it down;
-    otherwise the scope is refined once, for its search and keys. A scope of
-    at most r vertices is its own separator and returns its chosen ordering."""
+    """The scope's vertices in canonical order, and its certificate (see the
+    module docstring). `partition` is the scope's stable wl1 coloring when
+    its parent's flap codes handed it down; otherwise the scope is refined
+    once, for its search and keys. A scope of at most r vertices is its own
+    separator and returns its least-record ordering of the first tie class."""
     stats.observe_depth(depth)
     base = run.color_base + (depth - 1) * run.block_width
     if scope.n <= run.r:
         orderings = list(itertools.permutations(scope.vertices))
-        return list(next(run.backend.order(scope, orderings, base, partition, stats)))
+        tied = next(run.backend.order(scope, orderings, base, partition, stats))
+        if len(tied) == 1:
+            return list(tied[0]), (_record(scope, tied[0]),)
+        return min(((list(seq), (_record(scope, seq),)) for seq in tied), key=itemgetter(1))
     if partition is None:  # the search keys by it; under wl1 the flap codes restart from it
         partition, _ = invariant.wl1_refine(scope)
     sequences = mark_separating_sequences(scope, run.r, partition)
@@ -222,58 +239,34 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
             f"no separating {run.r}-sequence at depth {depth}; minimum-encoding fallback",
         )
         stats.count_invariant()
-        _, labeling = minimum_encoding(scope, stats=stats)
-        return list(labeling.inverse())
+        code, labeling = minimum_encoding(scope, stats=stats)
+        return list(labeling.inverse()), ((), code)  # () sorts before every record
 
-    chosen = next(run.backend.order(scope, sequences, base, partition, stats))
+    def branch(chosen):
+        """The certificate of `chosen`, and its flaps with their orders in
+        block order."""
+        flaps = decompose_flaps(scope, chosen, depth, run)
+        coloring = _individualized(chosen, base)
+        coded = run.backend.flap_codes(scope, coloring, partition, flaps, stats)
 
-    flaps = decompose_flaps(scope, chosen, depth, run)
-    coloring = _individualized(chosen, base)
-    coded = run.backend.flap_codes(scope, coloring, partition, flaps, stats)
-    flap_codes = [code for code, _ in coded]
-    if run.check:
-        _cross_check_flaps(flaps, flap_codes, depth, stats)
+        def rank_flap(i: int):
+            return _rank_scope(flaps[i].graph, depth + 1, run, stats, coded[i][1])
 
-    blocks = sorted(
-        range(len(flaps)),
-        key=lambda i: (flap_codes[i], min(flaps[i].origin.values())),
-    )
+        ranked = parallel_map(rank_flap, range(len(flaps)))
+        keys = [(code, cert) for (code, _), (_, cert) in zip(coded, ranked)]
+        blocks = sorted(range(len(flaps)), key=keys.__getitem__)
+        certificate = (_record(scope, chosen), *(keys[i] for i in blocks))
+        return certificate, chosen, [(flaps[i].origin, ranked[i][0]) for i in blocks]
 
-    def rank_flap(i: int):
-        flap = flaps[i]
-        local = _rank_scope(flap.graph, depth + 1, run, stats, coded[i][1])
-        return [flap.origin[v] for v in local]
-
-    child_orders = parallel_map(rank_flap, blocks)
+    tied = next(run.backend.order(scope, sequences, base, partition, stats))
+    if len(tied) == 1:
+        certificate, chosen, blocks = branch(tied[0])
+    else:
+        certificate, chosen, blocks = min(map(branch, tied), key=itemgetter(0))
     order = list(chosen)
-    for sub in child_orders:
-        order.extend(sub)
-    return order
-
-
-def _cross_check_flaps(flaps, flap_codes, depth: int, stats):
-    """Equal-code flap pairs must be isomorphic when the backend is complete;
-    brute force verifies this for flaps within the oracle cap."""
-    cap = resolve_cap(None)
-    by_code: dict = {}
-    for i, code in enumerate(flap_codes):
-        by_code.setdefault(code, []).append(i)
-    for code, idxs in by_code.items():
-        for a, b in itertools.combinations(idxs, 2):
-            ga, gb = flaps[a].graph, flaps[b].graph
-            if max(ga.n, gb.n) > cap:
-                continue
-            try:
-                witness = are_isomorphic_bf(ga, gb, cap)
-            except OracleCapacityError:
-                continue
-            if witness is None:
-                stats.diagnose(
-                    INVARIANT_FAILURE,
-                    depth + 1,
-                    ga.n,
-                    "invariant failure: flaps with equal codes are not isomorphic",
-                )
+    for origin, local in blocks:
+        order.extend(origin[v] for v in local)
+    return order, certificate
 
 
 def find_isomorphism(
@@ -281,24 +274,22 @@ def find_isomorphism(
     other: ColoredGraph,
     r: int,
     backend: InvariantBackend,
-    check: bool = False,
     workers: int = 1,
     stats: RunStats | None = None,
 ) -> Labeling | None:
     """Isomorphism from two canonical labelings, verified before returning.
 
-    `encode` is injective, so equal canonical forms already make the induced
-    mapping an isomorphism; an incomplete invariant can only make this miss an
-    isomorphism (None for an isomorphic pair). The mapping is still checked,
-    as a guard against bugs in the canonizer, and a failure is reported as an
-    invariant diagnostic with None returned. `workers` is ignored, as in
-    canon_separator.
+    `encode` is injective and the forms are canonical, so the forms are equal
+    exactly when the graphs are isomorphic, and the induced mapping is then an
+    isomorphism. The mapping is still checked, as a guard against bugs in the
+    canonizer, and a failure is reported as an invariant diagnostic with None
+    returned. `workers` is ignored, as in canon_separator.
     """
     stats = stats if stats is not None else RunStats(workers)
     if graph.n != other.n:
         return None
-    sig_g = canon_separator(graph, r, backend, check, workers, stats)
-    sig_h = canon_separator(other, r, backend, check, workers, stats)
+    sig_g = canon_separator(graph, r, backend, workers, stats)
+    sig_h = canon_separator(other, r, backend, workers, stats)
     if encode(apply_permutation(graph, sig_g)) != encode(apply_permutation(other, sig_h)):
         return None
     mapping = sig_h.inverse().compose(sig_g)

@@ -419,22 +419,47 @@ class TestBackendSelector:
         assert backend_from_selector("bf").code(p3) == bf_invariant(p3)
 
 
-def reference_order(backend, scope, sequences, base):
-    """The sequences sorted by (key, code, position), every one coded: the
-    rule InvariantBackend.order implements lazily. Asserts that some key
-    group holds a code tie, so that position decides it."""
+def reference_ranks(backend, scope, sequences, base):
+    """Per sequence, its (key, code), every one coded. Asserts that some key
+    group holds a code tie."""
     classes, _ = wl1_refine(scope)
     marks = [{v: [base + i] for i, v in enumerate(s, 1)} for s in sequences]
     codes = backend.codes(scope, marks, classes)
     keys = [tuple(classes[v] for v in s) for s in sequences]
     assert len(set(zip(keys, codes))) < len(sequences), "the case must contain a tie"
-    ranked = sorted(range(len(sequences)), key=lambda i: (keys[i], codes[i], i))
+    return list(zip(keys, codes))
+
+
+def reference_order(backend, scope, sequences, base):
+    """The sequences sorted by (key, code, position): the order in which
+    canon_rigidity probes them."""
+    ranks = reference_ranks(backend, scope, sequences, base)
+    ranked = sorted(range(len(sequences)), key=lambda i: (ranks[i], i))
     return [sequences[i] for i in ranked]
 
 
+def reference_classes(backend, scope, sequences, base):
+    """The sequences in tie classes of equal (key, code), each in position
+    order, in (key, code) order: what InvariantBackend.order yields lazily."""
+    tied: dict = {}
+    for rank, seq in zip(reference_ranks(backend, scope, sequences, base), sequences):
+        tied.setdefault(rank, []).append(seq)
+    return [tied[rank] for rank in sorted(tied)]
+
+
+def assert_order(backend, scope, sequences, base):
+    """order yields the reference tie classes, and joined they are the
+    (key, code, position) order."""
+    tied = list(backend.order(scope, sequences, base))
+    assert tied == reference_classes(backend, scope, sequences, base)
+    assert list(itertools.chain.from_iterable(tied)) == reference_order(
+        backend, scope, sequences, base
+    )
+
+
 class TestArgmin:
-    """InvariantBackend.order, whose first sequence is the argmin both
-    canonizers take."""
+    """InvariantBackend.order: its first tie class is the one the separator
+    recursion tries, and its classes joined are canon_rigidity's order."""
 
     # P4 and its ordered pairs: the mirror image of a pair has the same key
     # and ties with it in code
@@ -442,18 +467,12 @@ class TestArgmin:
     PAIRS = list(itertools.permutations(range(1, 5), 2))
 
     def test_wl1_first_index_wins_ties(self):
-        backend = Wl1Backend()
         for seqs in (self.PAIRS, self.PAIRS[::-1]):
-            assert list(backend.order(self.P4, seqs, 0)) == reference_order(
-                backend, self.P4, seqs, 0
-            )
+            assert_order(Wl1Backend(), self.P4, seqs, 0)
 
     def test_bf_first_index_wins_ties(self):
-        backend = BruteForceBackend()
         for seqs in (self.PAIRS, self.PAIRS[::-1]):
-            assert list(backend.order(self.P4, seqs, 0)) == reference_order(
-                backend, self.P4, seqs, 0
-            )
+            assert_order(BruteForceBackend(), self.P4, seqs, 0)
 
     def test_bf_first_minimal_index_on_every_small_marking(self):
         # every graph on 2 to 4 vertices, bare and with vertex 1 precolored;
@@ -474,21 +493,24 @@ class TestArgmin:
                         ))
                         for s in seqs
                     }
+                    def rank(s):
+                        return tuple(classes[v] for v in s), codes[s]
+
                     for marks in (seqs, seqs[::-1]):
-                        # sorted() is stable: position breaks (key, code) ties
-                        expected = sorted(
-                            marks, key=lambda s: (tuple(classes[v] for v in s), codes[s])
-                        )
-                        assert list(backend.order(scope, marks, base)) == expected
+                        # sorted() is stable: position orders each tie class
+                        expected = sorted(marks, key=rank)
+                        tied = list(backend.order(scope, marks, base))
+                        assert tied == [list(c) for _, c in itertools.groupby(expected, rank)]
 
     def test_single_graph_is_not_coded(self, monkeypatch, p3):
         # a lone sequence needs neither key nor code; a key group of one
         # needs no code
         scratch = count_scratch_refinements(monkeypatch)
         stats = RunStats()
-        assert list(Wl1Backend().order(p3, [(1,)], 0, stats=stats)) == [(1,)]
+        assert list(Wl1Backend().order(p3, [(1,)], 0, stats=stats)) == [[(1,)]]
         assert stats.invariant_calls == 0 and scratch == []
-        assert len(list(Wl1Backend().order(p3, [(1, 2), (2, 1)], 0, stats=stats))) == 2
+        ordered = Wl1Backend().order(p3, [(1, 2), (2, 1)], 0, stats=stats)
+        assert sorted(ordered) == [[(1, 2)], [(2, 1)]]
         assert stats.invariant_calls == 0 and scratch == [p3]
 
     def test_later_key_groups_coded_only_when_reached(self):
@@ -564,14 +586,15 @@ class TestKeyGroups:
 
     def test_order_over_each_group_equals_reference_order(self):
         # handing order one group at a time gives order's rule on every
-        # sequence: (key, code, position)
+        # sequence: (key, code) tie classes, and joined (key, code, position)
         p4 = TestArgmin.P4
         classes, _ = wl1_refine(p4)
         for backend in (Wl1Backend(), BruteForceBackend()):
-            got = [
-                s for g in key_groups(classes, 2) for s in backend.order(p4, g, 0, classes)
-            ]
-            assert got == reference_order(backend, p4, TestArgmin.PAIRS, 0)
+            tied = [c for g in key_groups(classes, 2) for c in backend.order(p4, g, 0, classes)]
+            assert tied == reference_classes(backend, p4, TestArgmin.PAIRS, 0)
+            assert [s for c in tied for s in c] == reference_order(
+                backend, p4, TestArgmin.PAIRS, 0
+            )
 
 
 class TestSequenceKeys:
@@ -584,11 +607,12 @@ class TestSequenceKeys:
         end, inner = classes[1], classes[2]
         assert classes[4] == end != inner == classes[3]
         seqs = [(1, 2), (2, 1), (4, 3)]
-        # (1, 2) and (4, 3) share the key (end, inner) and tie in code
+        # (1, 2) and (4, 3) share the key (end, inner) and tie in code, so
+        # they share one tie class
         if (end, inner) < (inner, end):
-            expected = [(1, 2), (4, 3), (2, 1)]
+            expected = [[(1, 2), (4, 3)], [(2, 1)]]
         else:
-            expected = [(2, 1), (1, 2), (4, 3)]
+            expected = [[(2, 1)], [(1, 2), (4, 3)]]
         for backend in (Wl1Backend(), BruteForceBackend()):
             assert list(backend.order(p4, seqs, 0)) == expected
             assert list(backend.order(p4, seqs, 0, classes)) == expected
@@ -600,7 +624,7 @@ class TestSequenceKeys:
         h = apply_permutation(g, lab)
         image = [(lab[a], lab[b]) for a, b in seqs]
         for backend in (Wl1Backend(), BruteForceBackend()):
-            ordered = [(lab[a], lab[b]) for a, b in backend.order(g, seqs, 0)]
+            ordered = [[(lab[a], lab[b]) for a, b in c] for c in backend.order(g, seqs, 0)]
             assert list(backend.order(h, image, 0)) == ordered
 
 

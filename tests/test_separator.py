@@ -12,7 +12,9 @@ from graphcanon import (
     Lcg64,
     OracleCapacityError,
     apply_permutation,
+    are_isomorphic_bf,
     canon_separator,
+    cg_dumps,
     decompose_flaps,
     encode,
     find_isomorphism,
@@ -32,6 +34,7 @@ from .conftest import (
     every_labeled_graph,
     path_graph,
 )
+from .test_cli import run_cli
 from .test_invariant import partition_of
 from .test_graph import (
     components_by_induction,
@@ -164,7 +167,7 @@ class TestMarkSeparatingSequences:
 
 class TestDecomposeFlaps:
     def test_p3_flap_pattern_colors(self, p3):
-        run = SeparatorRun(1, 3, BF)
+        run = SeparatorRun(1, BF)
         flaps = decompose_flaps(p3, (2,), 1, run)
         assert len(flaps) == 2
         for flap in flaps:
@@ -177,7 +180,7 @@ class TestDecomposeFlaps:
         # r=2 gives block width 6: vertex adjacent to neither separator vertex
         # gets color 3, adjacent to both gets 6
         g = ColoredGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
-        run = SeparatorRun(2, 6, BF)
+        run = SeparatorRun(2, BF)
         (flap,) = decompose_flaps(g, (1, 2), 1, run)
         assert flap.origin == {1: 3, 2: 4}
         assert flap.graph.color_set(1) == frozenset({6})  # adjacent to both
@@ -185,36 +188,36 @@ class TestDecomposeFlaps:
 
     def test_star_center_gives_four_flaps(self):
         star = gen_family("star", n=5)
-        run = SeparatorRun(1, 3, BF)
+        run = SeparatorRun(1, BF)
         flaps = decompose_flaps(star, (1,), 1, run)
         assert len(flaps) == 4
         assert all(flap.graph.n == 1 for flap in flaps)
 
     def test_rejects_non_separator(self, p3):
-        run = SeparatorRun(1, 3, BF)
+        run = SeparatorRun(1, BF)
         with pytest.raises(ContractViolationError):
             decompose_flaps(p3, (1,), 1, run)
 
     def test_rejects_repeated_vertices(self, p3):
-        run = SeparatorRun(2, 6, BF)
+        run = SeparatorRun(2, BF)
         with pytest.raises(ContractViolationError):
             decompose_flaps(p3, (2, 2), 1, run)
 
     def test_rejects_foreign_vertices(self, p3):
-        run = SeparatorRun(1, 3, BF)
+        run = SeparatorRun(1, BF)
         with pytest.raises(ContractViolationError):
             decompose_flaps(p3, (9,), 1, run)
 
     def test_one_component_walk(self, monkeypatch):
         walks, tests = count_separator_work(monkeypatch)
         star = gen_family("star", n=5)
-        decompose_flaps(star, (1,), 1, SeparatorRun(1, 3, BF))
+        decompose_flaps(star, (1,), 1, SeparatorRun(1, BF))
         assert (len(walks), len(tests)) == (1, 0)
 
     def test_pattern_colors_disjoint_across_depths(self):
         # depth-d pattern colors live in ((d-1)W + r, dW], so depths never collide
         g = gen_family("k_tree", n=12, k=2, seed=8)
-        run = SeparatorRun(3, 11, BF)
+        run = SeparatorRun(3, BF)
         seq = mark_separating_sequences(g, 3)[0]
         inherited = {v: frozenset() for v in g.vertices}
         for depth in (1, 2, 3):
@@ -243,7 +246,7 @@ class TestDecomposeFlaps:
                 if not xs or not is_separator(g, xs):
                     continue
                 r = len(xs)
-                run = SeparatorRun(r, 2**r + r, BF)
+                run = SeparatorRun(r, BF)
                 for seq in itertools.permutations(xs):
                     for depth in (1, 2):
                         flaps = decompose_flaps(g, seq, depth, run)
@@ -265,7 +268,7 @@ class TestDecomposeFlaps:
             return from_parts(cls, *args)
 
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
-        run = SeparatorRun(2, 6, BF)
+        run = SeparatorRun(2, BF)
         monkeypatch.setattr(ColoredGraph, "__init__", counting_init)
         monkeypatch.setattr(ColoredGraph, "_from_parts", classmethod(counting_from_parts))
         sequences = mark_separating_sequences(g, 2)
@@ -285,7 +288,7 @@ class TestDecomposeFlaps:
             set_colors(self, colors)
 
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
-        run = SeparatorRun(2, 6, BF)
+        run = SeparatorRun(2, BF)
         seq = next(s for s in mark_separating_sequences(g, 2) if len(g.components(s)) >= 2)
         monkeypatch.setattr(ColoredGraph, "_set_colors", counting)
         flaps = decompose_flaps(g, seq, 1, run)
@@ -293,7 +296,7 @@ class TestDecomposeFlaps:
 
     def test_flap_partition_property(self):
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
-        run = SeparatorRun(3, 11, BF)
+        run = SeparatorRun(3, BF)
         for seq in mark_separating_sequences(g, 3)[:20]:
             flaps = decompose_flaps(g, seq, 1, run)
             covered = set(seq)
@@ -302,6 +305,40 @@ class TestDecomposeFlaps:
                 assert not originals & covered
                 covered |= originals
             assert covered == set(g.vertices)
+
+
+def cube_edges(offset):
+    """The cube Q3 on offset+1..offset+8."""
+    return [(offset + a + 1, offset + b + 1)
+            for a, b in itertools.combinations(range(8), 2) if bin(a ^ b).count("1") == 1]
+
+
+def wagner_edges(offset):
+    """The Wagner graph V8 (an 8-cycle and its four long chords) on
+    offset+1..offset+8."""
+    return [(offset + i + 1, offset + (i + 1) % 8 + 1) for i in range(8)] + [
+        (offset + i + 1, offset + i + 5) for i in range(4)
+    ]
+
+
+# Graphs whose wl1 ties no automorphism explains: each joins 3-regular pieces
+# that wl1 cannot tell apart although they are not isomorphic (K3,3 and the
+# triangular prism; the cube and the Wagner graph) under hubs. At r = 1 the
+# first gives tied flaps under one apex, the second tied flaps under one hub,
+# and the third two tied candidate hubs, one over each piece.
+K33_EDGES = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]
+PRISM_EDGES = [(7, 8), (8, 9), (7, 9), (10, 11), (11, 12), (10, 12), (7, 10), (8, 11), (9, 12)]
+WL1_TIE_CASES = {
+    "k33-prism-apex": ColoredGraph(13, K33_EDGES + PRISM_EDGES + [(13, v) for v in range(1, 13)]),
+    "cube-wagner-hub": ColoredGraph(
+        17, cube_edges(0) + wagner_edges(8) + [(17, v) for v in range(1, 17)]
+    ),
+    "cube-wagner-two-hubs": ColoredGraph(
+        18,
+        cube_edges(0) + wagner_edges(8) + [(17, v) for v in range(1, 9)]
+        + [(18, v) for v in range(9, 17)] + [(17, 18)],
+    ),
+}
 
 
 class TestCanonSeparator:
@@ -367,20 +404,21 @@ class TestCanonSeparator:
             lab = canon_separator(g, 2, WL1)
             assert sorted(lab.mapping) == list(range(1, 8))
 
-    def test_cross_check_flags_wl1_collision(self):
-        # K3,3 and the triangular prism under one apex: removing the apex
-        # leaves two connected 3-regular flaps with uniform pattern colors,
-        # which WL-1 cannot distinguish although they are not isomorphic
-        k33 = [(1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)]
-        prism = [(7, 8), (8, 9), (7, 9), (10, 11), (11, 12), (10, 12),
-                 (7, 10), (8, 11), (9, 12)]
-        apex = [(13, v) for v in range(1, 13)]
-        union = ColoredGraph(13, k33 + prism + apex)
-        stats = RunStats()
-        canon_separator(union, 1, WL1, check=True, stats=stats)
-        failures = [d for d in stats.diagnostics if d.kind == INVARIANT_FAILURE]
-        assert failures and all(str(d).startswith("invariant failure") for d in failures)
-        assert {(d.depth, d.n) for d in failures} == {(2, 6)}
+    @pytest.mark.parametrize("name", list(WL1_TIE_CASES))
+    def test_wl1_ties_settled_by_certificates(self, name, tmp_path):
+        # wl1 gives the pieces equal codes although they are not isomorphic,
+        # so only certificates keep the form from depending on the labels
+        g = WL1_TIE_CASES[name]
+        copies = [apply_permutation(g, lab) for lab in relabelings(g.n, 30, seed=9)]
+        forms = {encode(apply_permutation(h, canon_separator(h, 1, WL1))) for h in copies}
+        assert len(forms) == 1
+        assert all(find_isomorphism(g, h, 1, WL1) is not None for h in copies)
+        # on each case, breaking ties by labels called this first copy
+        # non-isomorphic to the graph
+        a, b = tmp_path / "a.cg", tmp_path / "b.cg"
+        a.write_text(cg_dumps(g))
+        b.write_text(cg_dumps(copies[0]))
+        assert run_cli("iso", str(a), str(b), "--invariant", "wl1", "--r", "1").returncode == 0
 
     def test_workers_do_not_change_result(self):
         g = gen_family("partial_k_tree", n=9, k=2, seed=77)
@@ -775,3 +813,24 @@ class TestFindIsomorphism:
                 assert (mapping is not None) == expected, (g.edges, h.edges)
                 if mapping is not None:
                     assert apply_permutation(g, mapping) == h
+
+
+def test_wl1_forms_canonical_on_seeded_small_graphs():
+    # seeded partial k-trees and G(n, p) with n <= 9: one wl1 form over four
+    # relabelings, and equal forms exactly where the oracle finds an
+    # isomorphism
+    graphs = [
+        gen_family("partial_k_tree", n=5 + s % 5, k=1 + s % 3, seed=1600 + s) for s in range(20)
+    ] + [
+        gen_family("random_gnp", n=5 + s % 5, p=0.2 + 0.1 * (s % 4), seed=1700 + s)
+        for s in range(20)
+    ]
+    for r in (1, 2, 3):
+        forms = []
+        for i, g in enumerate(graphs):
+            copies = [apply_permutation(g, lab) for lab in relabelings(g.n, 4, seed=i)]
+            seen = {encode(apply_permutation(h, canon_separator(h, r, WL1))) for h in copies}
+            assert len(seen) == 1
+            forms.append(seen.pop())
+        for (g, a), (h, b) in itertools.combinations(zip(graphs, forms), 2):
+            assert (a == b) == (are_isomorphic_bf(g, h) is not None)
