@@ -323,19 +323,14 @@ class InvariantBackend:
     vertices to extra colors, all above the scope's colors. `partition`, the
     scope's stable wl1 coloring (wl1_refine), lets wl1 restart from it; the
     other backends ignore it and code `scope.with_extra_colors(coloring)`.
-    `order` is the one candidate rule of both canonizers.
+    `order` is the one candidate rule of both canonizers, and all that the
+    separator recursion asks of a backend: it codes flaps by wl1 restarts.
     """
 
     name = "?"
 
     def code(self, graph: ColoredGraph, stats=None) -> CanonicalCode:
         raise NotImplementedError
-
-    def flap_codes(self, scope: ColoredGraph, coloring, partition, flaps, stats=None):
-        """Per flap of `scope` recolored by `coloring`, a code comparable with
-        the others and the flap's stable wl1 coloring, or None. This default
-        codes each flap graph and hands down None."""
-        return [(self.code(flap.graph, stats), None) for flap in flaps]
 
     def codes(self, scope: ColoredGraph, colorings, partition=None, stats=None) -> list:
         """Per coloring, a code of the recolored scope; the codes compare with
@@ -406,22 +401,6 @@ class Wl1Backend(InvariantBackend):
             out.append(wl1_refine(scope, fresh=coloring, partition=partition)[1])
         return out
 
-    def flap_codes(self, scope, coloring, partition, flaps, stats=None):
-        """One restart of the recolored scope codes every flap. On a disjoint
-        union each component's part of the stable partition is its own stable
-        partition, and two components are equivalent exactly when they fill
-        the same cells: a flap's code is its vertices' cells, sorted, and its
-        coloring is the restart limited to it, cells renumbered as ends."""
-        if stats is not None:
-            stats.count_invariant()
-        classes, _ = wl1_refine(scope, fresh=coloring, partition=partition)
-        out = []
-        for flap in flaps:
-            cells = sorted(classes[v] for v in flap.origin.values())
-            ends = {c: i for i, c in enumerate(cells, 1)}  # the last index wins
-            out.append((tuple(cells), {u: ends[classes[v]] for u, v in flap.origin.items()}))
-        return out
-
 
 class WlkBackend(InvariantBackend):
     def __init__(self, k: int):
@@ -455,13 +434,16 @@ class BruteForceBackend(InvariantBackend):
 
     def order(self, scope, sequences, base, partition=None, stats=None):
         """As InvariantBackend.order, but the scope is checked against the cap
-        first, so it is refused even where no sequence would be coded."""
+        first, so it is refused even where no sequence would be coded, and a
+        tie class is cut to its first sequence: equal bf codes mean that an
+        automorphism maps one sequence onto the other."""
         limit = resolve_cap(self.cap)
         if scope.n > limit:
             raise OracleCapacityError(
                 f"brute-force invariant capped at n <= {limit}, got n = {scope.n}"
             )
-        yield from super().order(scope, sequences, base, partition, stats)
+        for tied in super().order(scope, sequences, base, partition, stats):
+            yield tied[:1]
 
 
 def backend_from_selector(selector: str) -> InvariantBackend:

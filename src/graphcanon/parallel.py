@@ -37,7 +37,9 @@ class Diagnostic(NamedTuple):
 
 
 class RunStats:
-    """Accumulator for one canonization or bench run."""
+    """Accumulator for one canonization or bench run. The diagnostics are
+    those of the labeling returned, not of separator candidates tried and
+    dropped; the counters and max_depth count all the work done."""
 
     def __init__(self, workers: int = 1):
         self.workers = workers

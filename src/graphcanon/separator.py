@@ -20,12 +20,12 @@ share no edges and their pattern colors carry their edges to the sequence;
 and isomorphic scopes get equal certificates. So a scope keeps the tried
 candidate of least certificate, and no tie is settled by vertex names: the
 form is canonical whether or not the invariant is complete (Gurevich 1997;
-McKay & Piperno, arXiv:1301.1493). Under wl1 only the root refines from
-scratch: one restart of a scope, its chosen sequence individualized, codes
-all its flaps and hands each the stable partition that its own search, keys
-and candidate codes restart from. Other backends hand down no partition, so
-each scope of more than r vertices refines once before its search, and each
-smaller one with more than one candidate once for its keys.
+McKay & Piperno, arXiv:1301.1493). The flap code only has to be an
+isomorphism invariant that orders the blocks, so it comes from wl1 under
+every backend: only the root refines from scratch, and one restart of a
+scope, its chosen sequence individualized, codes all its flaps and hands
+each the stable partition that its own search, keys and candidate codes
+restart from. The backend only ranks candidates (InvariantBackend.order).
 
 Let b be the root graph's largest input color (0 on an uncolored graph) and
 W = 2^r + r. Colors introduced at depth d live in the block
@@ -191,8 +191,8 @@ def canon_separator(
     A scope tries the first tie class of its separating r-sequences (every
     ordering of its vertices when it has at most r) in InvariantBackend.order:
     the code-minimal ones among those of minimal key, their vertices' stable
-    wl1 classes in order. A single candidate is taken without coding it; of
-    several, the one whose recursion gives the least certificate is kept.
+    wl1 classes in order. Of several, the one whose recursion gives the least
+    certificate is kept, with only its diagnostics. Only the root refines.
 
     A scope with no separating r-sequence, at any depth, is ordered by its
     exact minimum encoding instead (with a diagnostic); above the oracle cap
@@ -200,7 +200,11 @@ def canon_separator(
     `workers` is accepted for compatibility and ignored; it only seeds a fresh
     RunStats."""
     stats = stats if stats is not None else RunStats(workers)
-    order, _ = _rank_scope(graph, 1, SeparatorRun(r, backend, graph.top_color()), stats)
+    partition = dict.fromkeys(graph.vertices, 1)  # stable on at most one vertex
+    if graph.n > 1:
+        partition, _ = invariant.wl1_refine(graph)
+    run = SeparatorRun(r, backend, graph.top_color())
+    order, _ = _rank_scope(graph, 1, run, stats, partition)
     return Labeling.from_position_order(order)
 
 
@@ -214,22 +218,34 @@ def _record(scope: ColoredGraph, sequence) -> tuple:
     return colors, bits
 
 
-def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition=None):
+def _code_flaps(scope: ColoredGraph, coloring, partition, flaps, stats):
+    """Per flap, its code and its stable wl1 coloring, from one restart of
+    the scope recolored by `coloring`. On a disjoint union each component's
+    part of the stable partition is its own stable partition, and two
+    components are equivalent exactly when they fill the same cells: a flap's
+    code is its vertices' cells, sorted, and its coloring is the restart
+    limited to it, cells renumbered as ends."""
+    stats.count_invariant()
+    classes, _ = invariant.wl1_refine(scope, fresh=coloring, partition=partition)
+    out = []
+    for flap in flaps:
+        cells = sorted(classes[v] for v in flap.origin.values())
+        ends = {c: i for i, c in enumerate(cells, 1)}  # the last index wins
+        out.append((tuple(cells), {u: ends[classes[v]] for u, v in flap.origin.items()}))
+    return out
+
+
+def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition):
     """The scope's vertices in canonical order, and its certificate (see the
-    module docstring). `partition` is the scope's stable wl1 coloring when
-    its parent's flap codes handed it down; otherwise the scope is refined
-    once, for its search and keys. A scope of at most r vertices is its own
-    separator and returns its least-record ordering of the first tie class."""
+    module docstring). `partition` is the scope's stable wl1 coloring. A
+    scope of at most r vertices is its own separator and returns its
+    least-record ordering of the first tie class."""
     stats.observe_depth(depth)
     base = run.color_base + (depth - 1) * run.block_width
     if scope.n <= run.r:
         orderings = list(itertools.permutations(scope.vertices))
         tied = next(run.backend.order(scope, orderings, base, partition, stats))
-        if len(tied) == 1:
-            return list(tied[0]), (_record(scope, tied[0]),)
         return min(((list(seq), (_record(scope, seq),)) for seq in tied), key=itemgetter(1))
-    if partition is None:  # the search keys by it; under wl1 the flap codes restart from it
-        partition, _ = invariant.wl1_refine(scope)
     sequences = mark_separating_sequences(scope, run.r, partition)
     if not sequences:
         stats.diagnose(
@@ -243,11 +259,11 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
         return list(labeling.inverse()), ((), code)  # () sorts before every record
 
     def branch(chosen):
-        """The certificate of `chosen`, and its flaps with their orders in
-        block order."""
+        """The certificate of `chosen`, its flaps with their orders in block
+        order, and the diagnostics its recursion made, taken out of stats."""
+        mark = len(stats.diagnostics)
         flaps = decompose_flaps(scope, chosen, depth, run)
-        coloring = _individualized(chosen, base)
-        coded = run.backend.flap_codes(scope, coloring, partition, flaps, stats)
+        coded = _code_flaps(scope, _individualized(chosen, base), partition, flaps, stats)
 
         def rank_flap(i: int):
             return _rank_scope(flaps[i].graph, depth + 1, run, stats, coded[i][1])
@@ -256,13 +272,13 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
         keys = [(code, cert) for (code, _), (_, cert) in zip(coded, ranked)]
         blocks = sorted(range(len(flaps)), key=keys.__getitem__)
         certificate = (_record(scope, chosen), *(keys[i] for i in blocks))
-        return certificate, chosen, [(flaps[i].origin, ranked[i][0]) for i in blocks]
+        found = stats.diagnostics[mark:]
+        del stats.diagnostics[mark:]
+        return certificate, chosen, [(flaps[i].origin, ranked[i][0]) for i in blocks], found
 
     tied = next(run.backend.order(scope, sequences, base, partition, stats))
-    if len(tied) == 1:
-        certificate, chosen, blocks = branch(tied[0])
-    else:
-        certificate, chosen, blocks = min(map(branch, tied), key=itemgetter(0))
+    certificate, chosen, blocks, found = min(map(branch, tied), key=itemgetter(0))
+    stats.diagnostics.extend(found)  # the losing branches' are dropped
     order = list(chosen)
     for origin, local in blocks:
         order.extend(origin[v] for v in local)

@@ -24,7 +24,7 @@ from graphcanon import (
     wl1_refine,
 )
 from graphcanon import invariant, separator
-from graphcanon.invariant import BruteForceBackend, Wl1Backend
+from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
 from graphcanon.parallel import FALLBACK, INVARIANT_FAILURE, Diagnostic, RunStats
 from graphcanon.separator import SeparatorRun
 
@@ -45,6 +45,7 @@ from .test_graph import (
 
 BF = BruteForceBackend()
 WL1 = Wl1Backend()
+WLK2 = WlkBackend(2)
 
 
 def relabelings(n, count, seed):
@@ -420,6 +421,17 @@ class TestCanonSeparator:
         b.write_text(cg_dumps(copies[0]))
         assert run_cli("iso", str(a), str(b), "--invariant", "wl1", "--r", "1").returncode == 0
 
+    def test_diagnostics_are_the_kept_candidates_only(self):
+        # the two hubs tie as candidates; each one's recursion falls back
+        # on its two flaps, one 3-regular piece (8 vertices) and the other
+        # piece with its hub (9), and only the kept candidate's two
+        # fallbacks are reported
+        stats = RunStats()
+        canon_separator(WL1_TIE_CASES["cube-wagner-two-hubs"], 1, WL1, stats=stats)
+        assert sorted((d.kind, d.depth, d.n) for d in stats.diagnostics) == [
+            (FALLBACK, 2, 8), (FALLBACK, 2, 9)
+        ]
+
     def test_workers_do_not_change_result(self):
         g = gen_family("partial_k_tree", n=9, k=2, seed=77)
         lab1 = canon_separator(g, 3, BF, workers=1)
@@ -672,10 +684,11 @@ def test_search_without_a_separator_runs_one_pass_per_head_at_most(monkeypatch):
             assert len(passes) <= math.comb(g.n - 1, r - 1)
 
 
-def test_each_scope_refined_from_scratch_once_under_bf(monkeypatch):
-    # bf hands down no partition, so every scope refines once: one with n > r
-    # before its separator search, and one of at most r vertices but at least
-    # two for its keys; a one-vertex scope has one ordering
+@pytest.mark.parametrize("backend", [WL1, BF, WLK2], ids=["wl1", "bf", "wlk2"])
+def test_each_scope_refined_from_scratch_at_most_once(monkeypatch, backend):
+    # only the root refines from scratch, under every backend: each flap's
+    # partition comes from its parent's restart, and its own search, keys
+    # and candidate codes restart from it, scopes of 2 and 3 vertices too
     scopes = []
     real = separator._rank_scope
 
@@ -685,27 +698,21 @@ def test_each_scope_refined_from_scratch_once_under_bf(monkeypatch):
 
     monkeypatch.setattr(separator, "_rank_scope", recording)
     scratch = count_scratch_refinements(monkeypatch)
+    cases = [(path_graph(7), 1), (gen_family("tree", n=10, seed=3), 1),
+             (gen_family("partial_k_tree", n=10, k=2, seed=4), 3),
+             (gen_family("tree", n=9, seed=1), 2),
+             (gen_family("partial_k_tree", n=9, k=2, seed=0), 3)]
+    if backend is WL1:  # above the bf cap
+        cases.append((gen_family("tree", n=200, seed=1), 1))
     sizes = set()
-    for g, r in ((path_graph(7), 1), (gen_family("tree", n=10, seed=3), 1),
-                 (gen_family("partial_k_tree", n=10, k=2, seed=4), 3),
-                 (gen_family("tree", n=9, seed=1), 2),
-                 (gen_family("partial_k_tree", n=9, k=2, seed=0), 3)):
+    for g, r in cases:
         scopes.clear()
         scratch.clear()
-        canon_separator(g, r, BF)
+        canon_separator(g, r, backend)
         sizes.update(h.n for h in scopes if h.n <= r)
         assert len(scopes) > 1
-        assert [id(h) for h in scratch] == [id(h) for h in scopes if h.n > 1]
+        assert scratch == [g]
     assert {1, 2, 3} <= sizes
-
-
-def test_each_scope_refined_from_scratch_at_most_once(monkeypatch):
-    # only the root refines from scratch: each flap's partition comes from
-    # its parent's restart, and its own candidates restart from it
-    g = gen_family("tree", n=200, seed=1)
-    scratch = count_scratch_refinements(monkeypatch)
-    canon_separator(g, 1, WL1)
-    assert scratch == [g]
 
 
 def colored_copy(g, seed):
@@ -715,27 +722,31 @@ def colored_copy(g, seed):
     return ColoredGraph(g.n, g.edges, colors)
 
 
-def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch):
+@pytest.mark.parametrize("backend,least", [(WL1, 300), (BF, 200)], ids=["wl1", "bf"])
+def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, backend, least):
     # the restart of a recolored scope, limited to one flap, is the flap's
     # own stable partition; and two flaps of a scope get equal codes exactly
-    # when their own refinements do
+    # when their own refinements do. bf graphs stay within its cap
     seen = []
-    real = Wl1Backend.flap_codes
+    real = separator._code_flaps
 
-    def recording(self, scope, coloring, partition, flaps, stats=None):
-        coded = real(self, scope, coloring, partition, flaps, stats)
+    def recording(scope, coloring, partition, flaps, stats):
+        coded = real(scope, coloring, partition, flaps, stats)
         seen.append((flaps, coded))
         return coded
 
-    monkeypatch.setattr(Wl1Backend, "flap_codes", recording)
+    def size(n):
+        return n if backend is WL1 else min(n, 10)
+
+    monkeypatch.setattr(separator, "_code_flaps", recording)
     for seed in range(6):
-        for g, r in ((gen_family("tree", n=20, seed=seed), 1),
-                     (gen_family("k_tree", n=14, k=2, seed=seed), 3),
-                     (gen_family("partial_k_tree", n=14, k=2, seed=seed), 3),
-                     (gen_family("random_gnp", n=12, p=0.3, seed=seed), 2)):
+        for g, r in ((gen_family("tree", n=size(20), seed=seed), 1),
+                     (gen_family("k_tree", n=size(14), k=2, seed=seed), 3),
+                     (gen_family("partial_k_tree", n=size(14), k=2, seed=seed), 3),
+                     (gen_family("random_gnp", n=size(12), p=0.3, seed=seed), 2)):
             for h in (g, colored_copy(g, seed)):
                 try:
-                    canon_separator(h, r, WL1)
+                    canon_separator(h, r, backend)
                 except OracleCapacityError:
                     pass  # a no-separator scope above the cap; earlier flaps count
     checked = 0
@@ -746,7 +757,7 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch):
             checked += 1
         for (a, (ca, _)), (b, (cb, _)) in itertools.combinations(zip(own, coded), 2):
             assert (a[1] == b[1]) == (ca == cb)
-    assert checked > 300
+    assert checked > least
 
 
 def test_precolored_wl1_forms_invariant_above_oracle_cap():
@@ -815,21 +826,24 @@ class TestFindIsomorphism:
                     assert apply_permutation(g, mapping) == h
 
 
-def test_wl1_forms_canonical_on_seeded_small_graphs():
-    # seeded partial k-trees and G(n, p) with n <= 9: one wl1 form over four
-    # relabelings, and equal forms exactly where the oracle finds an
-    # isomorphism
+@pytest.mark.parametrize("backend,largest", [(WL1, 9), (BF, 9), (WLK2, 7)],
+                         ids=["wl1", "bf", "wlk2"])
+def test_forms_canonical_on_seeded_small_graphs(backend, largest):
+    # seeded partial k-trees and G(n, p) with n <= 9 (n <= 7 under the
+    # slower wlk:2): one form over four relabelings, and equal forms exactly
+    # where the oracle finds an isomorphism
     graphs = [
         gen_family("partial_k_tree", n=5 + s % 5, k=1 + s % 3, seed=1600 + s) for s in range(20)
     ] + [
         gen_family("random_gnp", n=5 + s % 5, p=0.2 + 0.1 * (s % 4), seed=1700 + s)
         for s in range(20)
     ]
+    graphs = [g for g in graphs if g.n <= largest]
     for r in (1, 2, 3):
         forms = []
         for i, g in enumerate(graphs):
             copies = [apply_permutation(g, lab) for lab in relabelings(g.n, 4, seed=i)]
-            seen = {encode(apply_permutation(h, canon_separator(h, r, WL1))) for h in copies}
+            seen = {encode(apply_permutation(h, canon_separator(h, r, backend))) for h in copies}
             assert len(seen) == 1
             forms.append(seen.pop())
         for (g, a), (h, b) in itertools.combinations(zip(graphs, forms), 2):
