@@ -162,7 +162,7 @@ def cmd_embed(args) -> int:
         ]
         chosen = polyhedral_fixing_set(graph, systems)
         _emit(f"systems = {len(systems)}\n")
-        _emit("fixing-set: " + " ".join(str(v) for v in sorted(chosen)) + "\n")
+        _emit("fixing-set: " + (" ".join(str(v) for v in sorted(chosen)) or "-") + "\n")
         return 0
 
     rs = rs_loads(Path(args.input).read_bytes())

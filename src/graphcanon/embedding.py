@@ -373,6 +373,8 @@ def polyhedral_fixing_set(graph: ColoredGraph, systems, cap: int | None = None) 
         if conjugate(rs) not in pool:
             raise ContractViolationError("conjugate pair missing from the supplied systems")
 
+    if not graph.edges:  # connected, so one vertex, which every automorphism fixes
+        return frozenset()
     ref = systems[0]
     x, y = min(graph.edges)
     out = {x, y}

@@ -42,6 +42,24 @@ def _parse_int_fields(line: str, tag: str, count: int):
     return values
 
 
+def _parse_edges(lines: list[str], n: int) -> list:
+    """The edges of the run of `e u v` lines that starts `lines`, one per
+    line: each lists u < v within 1..n, in strictly increasing order."""
+    edges = []
+    for line in lines:
+        if not line.startswith("e "):
+            break
+        u, v = _parse_int_fields(line, "e", 2)
+        if u >= v:
+            raise FormatError(f"edge must list u < v, got {line!r}")
+        if not (1 <= u and v <= n):
+            raise FormatError(f"edge endpoint outside 1..{n} in {line!r}")
+        if edges and (u, v) <= edges[-1]:
+            raise FormatError(f"edges out of order or duplicated at {line!r}")
+        edges.append((u, v))
+    return edges
+
+
 def cg_dumps(graph: ColoredGraph) -> str:
     out = [f"cg 1", f"n {graph.n}"]
     for u, v in sorted(graph.edges):
@@ -59,26 +77,11 @@ def cg_loads(data) -> ColoredGraph:
     if len(lines) < 2:
         raise FormatError("missing vertex-count line")
     n = _parse_count(lines[1])
-    edges = []
+    edges = _parse_edges(lines[2:], n)
     colors: dict[int, set[int]] = {}
-    prev_edge = None
     prev_color = None
-    state = "e"
-    for line in lines[2:]:
-        if line.startswith("e "):
-            if state != "e":
-                raise FormatError("edge line after color lines")
-            u, v = _parse_int_fields(line, "e", 2)
-            if u >= v:
-                raise FormatError(f"edge must list u < v, got {line!r}")
-            if not (1 <= u and v <= n):
-                raise FormatError(f"edge endpoint outside 1..{n} in {line!r}")
-            if prev_edge is not None and (u, v) <= prev_edge:
-                raise FormatError(f"edges out of order or duplicated at {line!r}")
-            prev_edge = (u, v)
-            edges.append((u, v))
-        elif line.startswith("k "):
-            state = "k"
+    for line in lines[2 + len(edges):]:
+        if line.startswith("k "):
             v, c = _parse_int_fields(line, "k", 2)
             if not 1 <= v <= n:
                 raise FormatError(f"colored vertex outside 1..{n} in {line!r}")
@@ -86,6 +89,8 @@ def cg_loads(data) -> ColoredGraph:
                 raise FormatError(f"color lines out of order or duplicated at {line!r}")
             prev_color = (v, c)
             colors.setdefault(v, set()).add(c)
+        elif line.startswith("e "):
+            raise FormatError("edge line after color lines")
         else:
             raise FormatError(f"unrecognized line {line!r}")
     return ColoredGraph(n, edges, colors)
@@ -110,22 +115,11 @@ def rs_loads(data) -> RotationSystem:
     if len(lines) < 2:
         raise FormatError("missing vertex-count line")
     n = _parse_count(lines[1])
-    edges = []
-    prev_edge = None
-    i = 2
-    while i < len(lines) and lines[i].startswith("e "):
-        u, v = _parse_int_fields(lines[i], "e", 2)
-        if u >= v or not (1 <= u and v <= n):
-            raise FormatError(f"bad edge line {lines[i]!r}")
-        if prev_edge is not None and (u, v) <= prev_edge:
-            raise FormatError(f"edges out of order or duplicated at {lines[i]!r}")
-        prev_edge = (u, v)
-        edges.append((u, v))
-        i += 1
+    edges = _parse_edges(lines[2:], n)
     graph = ColoredGraph(n, edges)
     succ: dict[int, dict[int, int]] = {}
     expected = 1
-    for line in lines[i:]:
+    for line in lines[2 + len(edges):]:
         head, sep, body = line.partition(":")
         if not sep or not head.startswith("r "):
             raise FormatError(f"unrecognized line {line!r}")

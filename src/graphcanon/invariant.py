@@ -276,12 +276,16 @@ def key_groups(partition: dict, r: int):
     """The r-sequences of distinct vertices, lazily, one key group at a time.
 
     The key of a sequence is the tuple of its vertices' classes in
-    `partition` (vertex -> class), as in InvariantBackend.order. Groups come
-    in key order, and each is a list in lexicographic vertex order, so the
-    groups joined are itertools.permutations of the sorted vertices, sorted
-    stably by key. The walk over class tuples visits only those whose class
-    counts fit the class sizes, and yields nothing when r exceeds the number
-    of vertices.
+    `partition` (vertex -> class). Groups come in key order, and each is a
+    list in lexicographic vertex order, so the groups joined are
+    itertools.permutations of the sorted vertices, sorted stably by key. The
+    walk over class tuples visits only those whose class counts fit the
+    class sizes, and yields nothing when r exceeds the number of vertices.
+    With the stable wl1 coloring as `partition`, class ids are cell
+    positions of a label-independent ordered partition, so each class, as a
+    set, is isomorphism-invariant: this is target-cell selection (McKay &
+    Piperno, arXiv:1301.1493). Position order within a group depends on the
+    labeling.
     """
     if r > len(partition):
         return
@@ -320,11 +324,11 @@ class InvariantBackend:
     """An invariant as a reusable object: equal codes on isomorphic colored graphs.
 
     `codes` and `order` code recolorings of one scope: each coloring maps
-    vertices to extra colors, all above the scope's colors. `partition`, the
-    scope's stable wl1 coloring (wl1_refine), lets wl1 restart from it; the
-    other backends ignore it and code `scope.with_extra_colors(coloring)`.
-    `order` is the one candidate rule of both canonizers, and all that the
-    separator recursion asks of a backend: it codes flaps by wl1 restarts.
+    vertices to extra colors, all above the scope's colors. `partition` is
+    the scope's stable wl1 coloring (wl1_refine): wl1 restarts from it, and
+    the other backends code `scope.with_extra_colors(coloring)`. `order` is
+    the one candidate rule of both canonizers, and all that the separator
+    recursion asks of a backend: it codes flaps by wl1 restarts.
     """
 
     name = "?"
@@ -332,37 +336,24 @@ class InvariantBackend:
     def code(self, graph: ColoredGraph, stats=None) -> CanonicalCode:
         raise NotImplementedError
 
-    def codes(self, scope: ColoredGraph, colorings, partition=None, stats=None) -> list:
+    def codes(self, scope: ColoredGraph, colorings, partition, stats=None) -> list:
         """Per coloring, a code of the recolored scope; the codes compare with
         each other, and equal ones mean the invariant cannot tell the two
         recolorings apart."""
         return [self.code(scope.with_extra_colors(c), stats) for c in colorings]
 
-    def order(self, scope: ColoredGraph, sequences, base: int, partition=None, stats=None):
-        """The sequences, lazily, in tie classes: lists of the sequences of
-        equal (key, code), each in position order, in (key, code) order.
+    def order(self, scope: ColoredGraph, groups, base: int, partition, stats=None):
+        """The sequences of `groups`, lazily, in tie classes: per group in
+        the order given, lists of its sequences of equal code, each in
+        position order, in code order.
 
-        The key of a sequence is the tuple of its vertices' classes in
-        `partition`, refined here when not given; its code is that of the
-        scope with its i-th vertex colored base+i, above every color of the
-        scope. Key groups come in key order. A group of one is not coded, and
-        a larger one is coded only when it is reached; a lone sequence needs
-        no key either. Class ids are cell positions of a label-independent
-        ordered partition, so each class, as a set, is isomorphism-invariant:
-        this is target-cell selection (McKay & Piperno, arXiv:1301.1493).
-        Position order within a class depends on the labeling.
+        The groups are key groups in key order, as key_groups or the
+        separator search hand them over, so the classes come in (key, code)
+        order. The code of a sequence is that of the scope with its i-th
+        vertex colored base+i, above every color of the scope. A group of
+        one is not coded, and a larger one is coded only when it is reached.
         """
-        if len(sequences) < 2:
-            if sequences:
-                yield list(sequences)
-            return
-        if partition is None:
-            partition, _ = wl1_refine(scope)
-        groups: dict = {}
-        for seq in sequences:
-            groups.setdefault(tuple(partition[v] for v in seq), []).append(seq)
-        for key in sorted(groups):
-            group = groups[key]
+        for group in groups:
             if len(group) == 1:
                 yield group
                 continue
@@ -373,16 +364,13 @@ class InvariantBackend:
             for code in sorted(tied):
                 yield tied[code]
 
-    def __call__(self, graph: ColoredGraph) -> CanonicalCode:
-        return self.code(graph)
-
     def __repr__(self):
         return f"<invariant {self.name}>"
 
 
 class Wl1Backend(InvariantBackend):
-    """Color refinement. Recolorings restart from the scope's stable
-    partition, which is refined from scratch when it is not given."""
+    """Color refinement. Recolorings of a scope restart from its stable
+    partition."""
 
     name = "wl1"
 
@@ -391,9 +379,7 @@ class Wl1Backend(InvariantBackend):
             stats.count_invariant()
         return wl1_refine(graph)[1]
 
-    def codes(self, scope, colorings, partition=None, stats=None):
-        if partition is None:
-            partition, _ = wl1_refine(scope)
+    def codes(self, scope, colorings, partition, stats=None):
         out = []
         for coloring in colorings:
             if stats is not None:
@@ -432,7 +418,7 @@ class BruteForceBackend(InvariantBackend):
     # perfbench's tracer looks this name up in the class, so it stays bound
     code_bounded = code
 
-    def order(self, scope, sequences, base, partition=None, stats=None):
+    def order(self, scope, groups, base, partition, stats=None):
         """As InvariantBackend.order, but the scope is checked against the cap
         first, so it is refused even where no sequence would be coded, and a
         tie class is cut to its first sequence: equal bf codes mean that an
@@ -442,7 +428,7 @@ class BruteForceBackend(InvariantBackend):
             raise OracleCapacityError(
                 f"brute-force invariant capped at n <= {limit}, got n = {scope.n}"
             )
-        for tied in super().order(scope, sequences, base, partition, stats):
+        for tied in super().order(scope, groups, base, partition, stats):
             yield tied[:1]
 
 

@@ -6,18 +6,18 @@ of those per-vertex colorings are pairwise distinct. With a complete invariant
 this agrees exactly with the automorphism-based fixing test, which is what
 rigidity_consistency_check demonstrates.
 
-Sequences are probed through the tie classes of InvariantBackend.order, the
-rule the separator recursion chooses by too: by key, the tuple of their
-vertices' stable wl1 classes, within one key by the code of their
-individualized coloring, and within a tie class in position order; the first
-fixing one is chosen.
-Only a key shared by several sequences needs those codes, so on a graph that
-refinement makes discrete no sequence is coded at all. The candidates arrive
-one key group at a time (invariant.key_groups), from a walk over class tuples
-that skips those the class sizes rule out, and `order` is handed each group
-alone, never all P(n, r) sequences: the search builds only the groups up to
-the first fixing probe. The stable partition behind the keys is computed
-once; under wl1 every sequence and probe code restarts from it.
+The candidates arrive one key group at a time from invariant.key_groups: by
+key, the tuple of their vertices' stable wl1 classes, each group in
+lexicographic order, from a walk over class tuples that skips those the
+class sizes rule out. InvariantBackend.order, the rule the separator
+recursion chooses by too, codes each group as it is reached by the
+individualized coloring of its sequences, and the tie classes are probed in
+order, each in position order; the first fixing sequence is chosen. Only a
+key shared by several sequences needs those codes, so on a graph that
+refinement makes discrete no sequence is coded at all, and the search builds
+only the groups up to the first fixing probe, never all P(n, r) sequences.
+The stable partition behind the keys is computed once; under wl1 every
+sequence and probe code restarts from it.
 
 The base b is the graph's largest input color (0 on an uncolored graph), so
 an individualization color never aliases an input color. b is an isomorphism
@@ -77,10 +77,10 @@ def individualize_plus(graph: ColoredGraph, sequence, vertex: int) -> ColoredGra
 
 
 def _probe(
-    graph: ColoredGraph, sequence, backend: InvariantBackend, stats=None, partition=None
+    graph: ColoredGraph, sequence, backend: InvariantBackend, partition, stats=None
 ) -> FixingCandidate:
     """Code every per-vertex coloring of the sequence (individualize_plus);
-    `partition` is the graph's stable wl1 coloring, if known."""
+    `partition` is the graph's stable wl1 coloring."""
     codes = backend.codes(graph, _probe_colorings(graph, sequence), partition, stats)
     fixing = len(set(codes)) == graph.n
     return FixingCandidate(tuple(sequence), dict(zip(graph.vertices, codes)), fixing)
@@ -88,7 +88,8 @@ def _probe(
 
 def is_fixing_by_invariant(graph: ColoredGraph, sequence, backend: InvariantBackend) -> bool:
     """True when the per-vertex individualized codes are pairwise distinct."""
-    return _probe(graph, sequence, backend).fixing
+    partition, _ = invariant.wl1_refine(graph)
+    return _probe(graph, sequence, backend, partition).fixing
 
 
 def is_fixing_bf(graph: ColoredGraph, vertex_set, cap: int | None = None) -> bool:
@@ -108,13 +109,14 @@ def canon_rigidity(
     minimum-encoding labeling with a diagnostic flag; above the oracle cap
     (GRAPHCANON_ORACLE_CAP) that raises OracleCapacityError.
 
-    Sequences are probed in InvariantBackend.order's tie classes, joined in
-    order: by key, the tuple of their vertices' stable wl1 classes; within
-    one key, in (code of the individualized coloring, lexicographic order).
-    The first fixing one is chosen, which is the fixing sequence of minimal
-    (key, code, order). Key groups are built one at a time, in key order,
-    and each is handed to `order` alone, so no group after the chosen one is
-    built.
+    Sequences are probed in InvariantBackend.order's tie classes of the key
+    groups of invariant.key_groups, joined in order: by key, the tuple of
+    their vertices' stable wl1 classes; within one key, in (code of the
+    individualized coloring, lexicographic order). The first fixing one is
+    chosen, which is the fixing sequence of minimal (key, code, order). Key
+    groups are built lazily, so no group after the chosen one is built. The
+    one `order` call checks a bf cap before any group, so a graph above it
+    is refused at every r, also when r > n leaves no sequence.
     Sequence vertices receive labels 1..r, and the rest are ranked by their
     per-vertex codes (distinct by the fixing property) shifted by r.
     `workers` is accepted for compatibility and ignored.
@@ -125,12 +127,10 @@ def canon_rigidity(
     stats.observe_depth(1)
     partition, _ = invariant.wl1_refine(graph)
     base = graph.top_color()
-    tie_classes = itertools.chain.from_iterable(
-        backend.order(graph, group, base, partition, stats)
-        for group in invariant.key_groups(partition, r)
-    )
+    groups = invariant.key_groups(partition, r)
+    tie_classes = backend.order(graph, groups, base, partition, stats)
     for seq in itertools.chain.from_iterable(tie_classes):
-        best = _probe(graph, seq, backend, stats, partition)
+        best = _probe(graph, seq, backend, partition, stats)
         if best.fixing:
             break
     else:
@@ -170,14 +170,16 @@ def rigidity_consistency_check(
     backend: InvariantBackend | None = None,
     cap: int | None = None,
 ) -> ConsistencyReport:
-    """For every r-sequence, compare is_fixing_by_invariant (with a complete
-    backend, brute force by default) against the automorphism-based test."""
+    """For every r-sequence, compare the fixing test of is_fixing_by_invariant
+    (with a complete backend, brute force by default) against the
+    automorphism-based test. The graph is refined once for all sequences."""
     backend = backend if backend is not None else BruteForceBackend(cap)
     group = automorphisms(graph, cap)
+    partition, _ = invariant.wl1_refine(graph)
     mismatches = []
     checked = 0
     for seq in itertools.permutations(graph.vertices, r):
-        by_invariant = is_fixing_by_invariant(graph, seq, backend)
+        by_invariant = _probe(graph, seq, backend, partition).fixing
         by_oracle = not pointwise_fixed(group, set(seq))
         checked += 1
         if by_invariant != by_oracle:

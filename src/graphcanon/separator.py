@@ -4,12 +4,13 @@ The recursion at depth d works on a colored scope graph H. Its candidates are
 the separating r-sequences of minimal key, the tuple of their vertices'
 stable wl1 classes, found by a search that visits (r-1)-set heads in key
 order and stops once no head can reach the least key; or, when H has at most
-r vertices, every ordering of its vertices: such a scope is its own
-separator. It tries the first tie class of InvariantBackend.order, the
-candidates of minimal key and then of minimal code (its individualized
-coloring). Each tried candidate goes first; the rest splits into flaps
-colored by their adjacency pattern toward the separator, which recurse, and
-the flap blocks follow in (code, certificate) order.
+r vertices, the orderings of its vertices of minimal key, the first group of
+invariant.key_groups: such a scope is its own separator. InvariantBackend.order
+codes this one key group by the candidates' individualized colorings, and
+the scope tries its first tie class, the candidates of minimal code. Each
+tried candidate goes first; the rest splits into flaps colored by their
+adjacency pattern toward the separator, which recurse, and the flap blocks
+follow in (code, certificate) order.
 
 Every scope returns its order and a certificate: the chosen sequence's
 record (its vertices' colors and the adjacency among them), then one (flap
@@ -188,11 +189,12 @@ def canon_separator(
 ) -> Labeling:
     """Canonical labeling of the graph, under every backend.
 
-    A scope tries the first tie class of its separating r-sequences (every
-    ordering of its vertices when it has at most r) in InvariantBackend.order:
-    the code-minimal ones among those of minimal key, their vertices' stable
-    wl1 classes in order. Of several, the one whose recursion gives the least
-    certificate is kept, with only its diagnostics. Only the root refines.
+    A scope tries the first tie class of InvariantBackend.order over its
+    separating r-sequences of minimal key, their vertices' stable wl1 classes
+    in order (over its orderings of minimal key when it has at most r
+    vertices): the code-minimal ones. Of several, the one whose recursion
+    gives the least certificate is kept, with only its diagnostics. Only the
+    root refines.
 
     A scope with no separating r-sequence, at any depth, is ordered by its
     exact minimum encoding instead (with a diagnostic); above the oracle cap
@@ -238,13 +240,13 @@ def _code_flaps(scope: ColoredGraph, coloring, partition, flaps, stats):
 def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition):
     """The scope's vertices in canonical order, and its certificate (see the
     module docstring). `partition` is the scope's stable wl1 coloring. A
-    scope of at most r vertices is its own separator and returns its
-    least-record ordering of the first tie class."""
+    scope of at most r vertices is its own separator and returns the
+    least-record ordering of the first tie class of its first key group."""
     stats.observe_depth(depth)
     base = run.color_base + (depth - 1) * run.block_width
     if scope.n <= run.r:
-        orderings = list(itertools.permutations(scope.vertices))
-        tied = next(run.backend.order(scope, orderings, base, partition, stats))
+        groups = invariant.key_groups(partition, scope.n)
+        tied = next(run.backend.order(scope, groups, base, partition, stats))
         return min(((list(seq), (_record(scope, seq),)) for seq in tied), key=itemgetter(1))
     sequences = mark_separating_sequences(scope, run.r, partition)
     if not sequences:
@@ -276,7 +278,7 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
         del stats.diagnostics[mark:]
         return certificate, chosen, [(flaps[i].origin, ranked[i][0]) for i in blocks], found
 
-    tied = next(run.backend.order(scope, sequences, base, partition, stats))
+    tied = next(run.backend.order(scope, [sequences], base, partition, stats))
     certificate, chosen, blocks, found = min(map(branch, tied), key=itemgetter(0))
     stats.diagnostics.extend(found)  # the losing branches' are dropped
     order = list(chosen)

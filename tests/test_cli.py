@@ -30,6 +30,7 @@ def files(tmp_path_factory):
         p.write_text(text)
         paths[name] = str(p)
 
+    put("k1.cg", cg_dumps(path_graph(1)))
     put("p3.cg", cg_dumps(path_graph(3)))
     put("p7.cg", cg_dumps(path_graph(7)))
     put("k3.cg", cg_dumps(complete_graph(3)))
@@ -233,6 +234,12 @@ class TestReadouts:
         out = proc.stdout.decode()
         assert "systems = 2" in out
         assert "fixing-set:" in out
+
+    def test_embed_fixing_set_one_vertex(self, files):
+        # no edge, no non-trivial automorphism: the empty set, printed as -
+        proc = run_cli("embed", "fixing-set", "--input", files["k1.cg"], "--genus", "0")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == b"systems = 1\nfixing-set: -\n"
 
     def test_embed_fixing_set_no_polyhedral(self, files):
         proc = run_cli("embed", "fixing-set", "--input", files["c4.cg"], "--genus", "0")

@@ -314,6 +314,13 @@ class TestPolyhedralFixingSet:
         fixing = polyhedral_fixing_set(k4, chosen)
         assert len(fixing) <= 4
 
+    def test_one_vertex_gets_the_empty_set(self):
+        k1 = path_graph(1)
+        systems = list(enumerate_rotation_systems(k1))
+        assert [(is_polyhedral(rs), euler_genus(rs)) for rs in systems] == [(True, 0)]
+        assert polyhedral_fixing_set(k1, systems) == frozenset()
+        assert is_fixing_bf(k1, frozenset())
+
     def test_c4_has_no_polyhedral_embedding(self, c4):
         systems = [
             rs

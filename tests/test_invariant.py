@@ -419,6 +419,23 @@ class TestBackendSelector:
         assert backend_from_selector("bf").code(p3) == bf_invariant(p3)
 
 
+def key_grouped(classes, sequences):
+    """The sequences in key groups, as key_groups and the separator search
+    hand them to `order`: the key of a sequence is the tuple of its
+    vertices' classes, groups come in key order, each in position order."""
+    groups: dict = {}
+    for seq in sequences:
+        groups.setdefault(tuple(classes[v] for v in seq), []).append(seq)
+    return [groups[key] for key in sorted(groups)]
+
+
+def order_by_key(backend, scope, sequences, base):
+    """backend.order over the sequences in key groups of the scope's stable
+    wl1 partition."""
+    classes, _ = wl1_refine(scope)
+    return backend.order(scope, key_grouped(classes, sequences), base, classes)
+
+
 def reference_ranks(backend, scope, sequences, base):
     """Per sequence, its (key, code), every one coded. Asserts that some key
     group holds a code tie."""
@@ -456,7 +473,7 @@ def cut(backend, classes):
 def assert_order(backend, scope, sequences, base):
     """order yields the reference tie classes (cut under bf), and joined they
     are the (key, code, position) order less what the cut drops."""
-    tied = list(backend.order(scope, sequences, base))
+    tied = list(order_by_key(backend, scope, sequences, base))
     expected = cut(backend, reference_classes(backend, scope, sequences, base))
     assert tied == expected
     joined = list(itertools.chain.from_iterable(tied))
@@ -506,36 +523,46 @@ class TestArgmin:
                     for marks in (seqs, seqs[::-1]):
                         # sorted() is stable: position orders each tie class
                         expected = sorted(marks, key=rank)
-                        tied = list(backend.order(scope, marks, base))
+                        groups = key_grouped(classes, marks)
+                        tied = list(backend.order(scope, groups, base, classes))
                         full = [list(c) for _, c in itertools.groupby(expected, rank)]
                         assert tied == cut(backend, full)
 
     def test_single_graph_is_not_coded(self, monkeypatch, p3):
-        # a lone sequence needs neither key nor code; a key group of one
-        # needs no code
+        # a key group of one needs no code, and order refines nothing
+        classes, _ = wl1_refine(p3)
         scratch = count_scratch_refinements(monkeypatch)
         stats = RunStats()
-        assert list(Wl1Backend().order(p3, [(1,)], 0, stats=stats)) == [[(1,)]]
+        assert list(Wl1Backend().order(p3, [[(1,)]], 0, classes, stats)) == [[(1,)]]
         assert stats.invariant_calls == 0 and scratch == []
-        ordered = Wl1Backend().order(p3, [(1, 2), (2, 1)], 0, stats=stats)
+        groups = key_grouped(classes, [(1, 2), (2, 1)])
+        ordered = Wl1Backend().order(p3, groups, 0, classes, stats)
         assert sorted(ordered) == [[(1, 2)], [(2, 1)]]
-        assert stats.invariant_calls == 0 and scratch == [p3]
+        assert stats.invariant_calls == 0 and scratch == []
 
     def test_later_key_groups_coded_only_when_reached(self):
         classes, _ = wl1_refine(self.P4)
         keys = Counter(tuple(classes[v] for v in s) for s in self.PAIRS)
         stats = RunStats()
-        ordered = Wl1Backend().order(self.P4, self.PAIRS, 0, classes, stats)
+        drawn = []  # the key groups taken from key_groups so far
+        groups = (drawn.append(g) or g for g in key_groups(classes, 2))
+        ordered = Wl1Backend().order(self.P4, groups, 0, classes, stats)
         next(ordered)
         assert stats.invariant_calls == keys[min(keys)] < len(self.PAIRS)
+        assert len(drawn) == 1
         list(ordered)
         assert stats.invariant_calls == len(self.PAIRS)
+        assert len(drawn) == len(keys)
 
     def test_bf_single_graph_above_cap_refused(self):
-        # the lone sequence is never coded, so only the up-front check refuses it
+        # the lone sequence is never coded, so only the up-front check refuses
+        # it, and the check runs with no group at all too
+        g = path_graph(11)
+        classes, _ = wl1_refine(g)
         stats = RunStats()
-        with pytest.raises(OracleCapacityError):
-            next(BruteForceBackend().order(path_graph(11), [(1,)], 0, stats=stats))
+        for groups in ([[(1,)]], []):
+            with pytest.raises(OracleCapacityError):
+                next(BruteForceBackend().order(g, groups, 0, classes, stats))
         assert stats.invariant_calls == 0
 
     def test_wl1_codes_restart_from_the_given_partition(self, monkeypatch):
@@ -544,10 +571,8 @@ class TestArgmin:
         marks = [{v: [1]} for v in g.vertices]
         scratch = count_scratch_refinements(monkeypatch)
         stats = RunStats()
-        given = Wl1Backend().codes(g, marks, classes, stats)
+        Wl1Backend().codes(g, marks, classes, stats)
         assert scratch == [] and stats.invariant_calls == g.n
-        assert Wl1Backend().codes(g, marks) == given
-        assert scratch == [g]
 
 
 class WholeClassBruteForce(BruteForceBackend):
@@ -619,12 +644,12 @@ class TestKeyGroups:
         assert next(key_groups(classes, 8)) == [tuple(range(8, 0, -1))]
 
     def test_order_over_each_group_equals_reference_order(self):
-        # handing order one group at a time gives order's rule on every
-        # sequence: (key, code) tie classes, and joined (key, code, position)
+        # handing order the key groups gives order's rule on every sequence:
+        # (key, code) tie classes, and joined (key, code, position)
         p4 = TestArgmin.P4
         classes, _ = wl1_refine(p4)
         for backend in (Wl1Backend(), BruteForceBackend()):
-            tied = [c for g in key_groups(classes, 2) for c in backend.order(p4, g, 0, classes)]
+            tied = list(backend.order(p4, key_groups(classes, 2), 0, classes))
             assert tied == cut(backend, reference_classes(backend, p4, TestArgmin.PAIRS, 0))
             joined = [s for c in tied for s in c]
             reference = reference_order(backend, p4, TestArgmin.PAIRS, 0)
@@ -632,8 +657,9 @@ class TestKeyGroups:
 
 
 class TestSequenceKeys:
-    """The key InvariantBackend.order sorts by: a sequence's vertices'
-    stable wl1 classes, in sequence order."""
+    """The key that key_groups groups by, and whose order the tie classes of
+    InvariantBackend.order follow: a sequence's vertices' stable wl1
+    classes, in sequence order."""
 
     def test_keys_are_stable_classes_in_sequence_order(self):
         p4 = path_graph(4)
@@ -647,9 +673,11 @@ class TestSequenceKeys:
             expected = [[(1, 2), (4, 3)], [(2, 1)]]
         else:
             expected = [[(2, 1)], [(1, 2), (4, 3)]]
+        groups = [[s for s in g if s in seqs] for g in key_groups(classes, 2)]
+        groups = [g for g in groups if g]
         for backend in (Wl1Backend(), BruteForceBackend()):
-            assert list(backend.order(p4, seqs, 0)) == cut(backend, expected)
-            assert list(backend.order(p4, seqs, 0, classes)) == cut(backend, expected)
+            assert list(backend.order(p4, groups, 0, classes)) == cut(backend, expected)
+            assert list(order_by_key(backend, p4, seqs, 0)) == cut(backend, expected)
 
     def test_keys_follow_relabeling(self):
         g = gen_family("random_gnp", n=7, p=0.4, seed=3)
@@ -657,9 +685,14 @@ class TestSequenceKeys:
         lab = Labeling([3, 5, 1, 7, 2, 4, 6])
         h = apply_permutation(g, lab)
         image = [(lab[a], lab[b]) for a, b in seqs]
+        # key_groups maps each group onto the group of equal key, as sets
+        groups = key_groups(wl1_refine(g)[0], 2)
+        moved = [sorted((lab[a], lab[b]) for a, b in grp) for grp in groups]
+        assert moved == [sorted(grp) for grp in key_groups(wl1_refine(h)[0], 2)]
         for backend in (Wl1Backend(), BruteForceBackend()):
-            ordered = [[(lab[a], lab[b]) for a, b in c] for c in backend.order(g, seqs, 0)]
-            assert list(backend.order(h, image, 0)) == ordered
+            tied = order_by_key(backend, g, seqs, 0)
+            ordered = [[(lab[a], lab[b]) for a, b in c] for c in tied]
+            assert list(order_by_key(backend, h, image, 0)) == ordered
 
 
 # Canonical forms of fixed seeded inputs under both canonizers, each with the

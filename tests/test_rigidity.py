@@ -134,6 +134,12 @@ class TestCanonRigidity:
                 canon_rigidity(path_graph(11), r, BF, stats=stats)
             assert stats.invariant_calls == 0
 
+    def test_bf_cap_checked_when_r_exceeds_n(self):
+        # above n there is no sequence to order, and bf still refuses a graph
+        # above its cap before the minimum-encoding fallback runs under it
+        with pytest.raises(OracleCapacityError):
+            canon_rigidity(gen_family("tree", n=8, seed=1), 9, BruteForceBackend(5))
+
     def test_bijection_and_sequence_block(self):
         g = gen_family("tree", n=7, seed=9)
         lab = canon_rigidity(g, 2, BF)
@@ -298,6 +304,12 @@ class TestConsistencyCheck:
         report = rigidity_consistency_check(c4, 2)
         assert report.checked == 12
         assert report.ok
+
+    def test_one_refinement_for_every_sequence(self, monkeypatch, c4):
+        # under wl1 every probe restarts from the one stable partition
+        scratch = count_scratch_refinements(monkeypatch)
+        assert rigidity_consistency_check(c4, 2, Wl1Backend()).checked == 12
+        assert scratch == [c4]
 
     def test_k3_r1_all_false_agree(self, k3):
         report = rigidity_consistency_check(k3, 1)
