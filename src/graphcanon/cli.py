@@ -88,7 +88,6 @@ def _check_r(method: str, r: int):
 def _canonize(graph, args, stats: RunStats) -> Labeling:
     if args.method == "bf":
         _, labeling = minimum_encoding(graph, stats=stats)
-        stats.count_invariant()
         stats.observe_depth(1)
         return labeling
     backend = backend_from_selector(args.invariant)

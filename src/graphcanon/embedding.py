@@ -250,7 +250,11 @@ def equivalent_embeddings(first: RotationSystem, second: RotationSystem) -> bool
 
 def is_faithful(rs: RotationSystem, cap: int | None = None) -> bool:
     """Every automorphism maps the system to itself or its conjugate."""
-    group = automorphisms(_bare(rs.graph), cap)
+    return _faithful_under(rs, automorphisms(_bare(rs.graph), cap))
+
+
+def _faithful_under(rs: RotationSystem, group) -> bool:
+    """is_faithful over `group`, the automorphisms of the graph."""
     return all(equivalent_embeddings(rotation_image(rs, a), rs) for a in group)
 
 
@@ -269,19 +273,19 @@ def fixing_triple(rs: RotationSystem, cap: int | None = None) -> FixingTripleRep
 
     Paths and cycles are reported as the degenerate case with a 2-element fixing
     set. The guarantee rests on the system being faithful; a non-faithful system
-    still yields a triple, with a warning.
+    still yields a triple, with a warning. Within the oracle cap, one group
+    enumeration tests faithfulness and verifies the set.
     """
     g = rs.graph
     _require_valid(rs)
     if not g.is_connected() or g.n == 0:
         raise UnsupportedInputError("fixing construction needs a connected graph")
     warnings = []
-    limit = resolve_cap(cap)
-    if g.n <= limit:
-        if not is_faithful(rs, cap):
-            warnings.append("rotation system is not faithful; fixing guarantee void")
-    else:
+    group = automorphisms(_bare(g), cap) if g.n <= resolve_cap(cap) else None
+    if group is None:
         warnings.append("faithfulness not verified: vertex count above oracle cap")
+    elif not _faithful_under(rs, group):
+        warnings.append("rotation system is not faithful; fixing guarantee void")
 
     degrees = [g.degree(v) for v in g.vertices]
     if all(d <= 2 for d in degrees):
@@ -294,9 +298,7 @@ def fixing_triple(rs: RotationSystem, cap: int | None = None) -> FixingTripleRep
             end = min(v for v in g.vertices if g.degree(v) <= 1)
             nb = g.neighbors(end)
             chosen = frozenset({end} | ({min(nb)} if nb else set()))
-        verified = None
-        if g.n <= limit:
-            verified = not pointwise_fixed(automorphisms(_bare(g), cap), chosen)
+        verified = None if group is None else not pointwise_fixed(group, chosen)
         return FixingTripleReport(chosen, True, verified, tuple(warnings))
 
     for walk in trace_faces(rs):
@@ -306,9 +308,7 @@ def fixing_triple(rs: RotationSystem, cap: int | None = None) -> FixingTripleRep
             v2, w = arcs[(i + 1) % len(arcs)]
             if g.degree(v) >= 3:
                 triple = frozenset({u, v, w})
-                verified = None
-                if g.n <= limit:
-                    verified = not pointwise_fixed(automorphisms(_bare(g), cap), triple)
+                verified = None if group is None else not pointwise_fixed(group, triple)
                 return FixingTripleReport(triple, False, verified, tuple(warnings))
     raise AssertionError("a connected non-path non-cycle graph has a branch vertex on some walk")
 
@@ -346,13 +346,14 @@ def enumerate_rotation_systems(graph: ColoredGraph, cap: int | None = None):
         yield RotationSystem(graph, dict(zip(graph.vertices, combo)))
 
 
-def polyhedral_fixing_set(graph: ColoredGraph, systems, cap: int | None = None) -> frozenset:
+def polyhedral_fixing_set(graph: ColoredGraph, systems) -> frozenset:
     """Fixing set from the pairwise differences of all polyhedral systems of one genus.
 
     `systems` must list the 2c rotation systems representing every polyhedral
     embedding at that genus, conjugates included. Starting from a reference edge
     {x, y}, each other system contributes the two witnesses of its nearest local
     disagreement with the first system; the result has at most 4c vertices.
+    No oracle is called, so there is no size cap.
     """
     systems = list(systems)
     if not systems:

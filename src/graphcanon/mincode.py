@@ -24,7 +24,10 @@ _AUTO_LIMIT = 64
 
 
 def minimum_encoding(graph: ColoredGraph, cap: int | None = None, stats=None):
-    """(code, labeling) achieving the minimum encoding of the graph."""
+    """(code, labeling) achieving the minimum encoding of the graph; one
+    invariant call counted in `stats`."""
+    if stats is not None:
+        stats.count_invariant()
     limit = resolve_cap(cap)
     n = graph.n
     if n > limit:

@@ -137,7 +137,6 @@ def canon_rigidity(
         stats.diagnose(
             FALLBACK, 1, graph.n, f"no fixing {r}-sequence; minimum-encoding fallback"
         )
-        stats.count_invariant()
         _, labeling = minimum_encoding(graph, stats=stats)
         return labeling
     chosen, codes = best.sequence, best.per_vertex_codes

@@ -1,16 +1,16 @@
 """Canonical labeling by balanced-separator recursion over a pluggable invariant.
 
-The recursion at depth d works on a colored scope graph H. Its candidates are
-the separating r-sequences of minimal key, the tuple of their vertices'
-stable wl1 classes, found by a search that visits (r-1)-set heads in key
-order and stops once no head can reach the least key; or, when H has at most
-r vertices, the orderings of its vertices of minimal key, the first group of
-invariant.key_groups: such a scope is its own separator. InvariantBackend.order
-codes this one key group by the candidates' individualized colorings, and
-the scope tries its first tie class, the candidates of minimal code. Each
-tried candidate goes first; the rest splits into flaps colored by their
+The recursion at depth d works on a colored scope graph H. When H has more
+than r vertices, its candidates are the separating r-sequences of minimal
+key, the tuple of their vertices' stable wl1 classes, found by a search that
+visits (r-1)-set heads in key order and stops once no head can reach the
+least key. InvariantBackend.order codes them by their individualized
+colorings, and the scope tries its first tie class, those of minimal code.
+Each tried candidate goes first; the rest splits into flaps colored by their
 adjacency pattern toward the separator, which recurse, and the flap blocks
-follow in (code, certificate) order.
+follow in (code, certificate) order. A scope of at most r vertices is its
+own separator and asks no invariant: it takes the ordering of least record
+in the first group of invariant.key_groups, its orderings of minimal key.
 
 Every scope returns its order and a certificate: the chosen sequence's
 record (its vertices' colors and the adjacency among them), then one (flap
@@ -26,7 +26,7 @@ isomorphism invariant that orders the blocks, so it comes from wl1 under
 every backend: only the root refines from scratch, and one restart of a
 scope, its chosen sequence individualized, codes all its flaps and hands
 each the stable partition that its own search, keys and candidate codes
-restart from. The backend only ranks candidates (InvariantBackend.order).
+restart from. InvariantBackend.order ranks only candidates that recurse.
 
 Let b be the root graph's largest input color (0 on an uncolored graph) and
 W = 2^r + r. Colors introduced at depth d live in the block
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ContractViolationError
-from .graph import ColoredGraph, Labeling, apply_permutation, encode
+from .graph import ColoredGraph, Labeling, apply_permutation
 from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
 from .invariant import InvariantBackend, _individualized
 from .mincode import minimum_encoding
@@ -189,11 +189,11 @@ def canon_separator(
 ) -> Labeling:
     """Canonical labeling of the graph, under every backend.
 
-    A scope tries the first tie class of InvariantBackend.order over its
-    separating r-sequences of minimal key, their vertices' stable wl1 classes
-    in order (over its orderings of minimal key when it has at most r
-    vertices): the code-minimal ones. Of several, the one whose recursion
-    gives the least certificate is kept, with only its diagnostics. Only the
+    A scope above r vertices tries the first tie class of
+    InvariantBackend.order over its separating r-sequences of minimal key,
+    their vertices' stable wl1 classes in order: the code-minimal ones. Of
+    several, the one whose recursion gives the least certificate is kept,
+    with only its diagnostics; a smaller scope needs no backend. Only the
     root refines.
 
     A scope with no separating r-sequence, at any depth, is ordered by its
@@ -202,9 +202,7 @@ def canon_separator(
     `workers` is accepted for compatibility and ignored; it only seeds a fresh
     RunStats."""
     stats = stats if stats is not None else RunStats(workers)
-    partition = dict.fromkeys(graph.vertices, 1)  # stable on at most one vertex
-    if graph.n > 1:
-        partition, _ = invariant.wl1_refine(graph)
+    partition, _ = invariant.wl1_refine(graph)
     run = SeparatorRun(r, backend, graph.top_color())
     order, _ = _rank_scope(graph, 1, run, stats, partition)
     return Labeling.from_position_order(order)
@@ -241,13 +239,13 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
     """The scope's vertices in canonical order, and its certificate (see the
     module docstring). `partition` is the scope's stable wl1 coloring. A
     scope of at most r vertices is its own separator and returns the
-    least-record ordering of the first tie class of its first key group."""
+    least-record ordering of its first key group, with no backend call:
+    orderings of equal record differ by an automorphism."""
     stats.observe_depth(depth)
-    base = run.color_base + (depth - 1) * run.block_width
     if scope.n <= run.r:
-        groups = invariant.key_groups(partition, scope.n)
-        tied = next(run.backend.order(scope, groups, base, partition, stats))
-        return min(((list(seq), (_record(scope, seq),)) for seq in tied), key=itemgetter(1))
+        orderings = next(invariant.key_groups(partition, scope.n))
+        return min(((list(seq), (_record(scope, seq),)) for seq in orderings), key=itemgetter(1))
+    base = run.color_base + (depth - 1) * run.block_width
     sequences = mark_separating_sequences(scope, run.r, partition)
     if not sequences:
         stats.diagnose(
@@ -256,7 +254,6 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
             scope.n,
             f"no separating {run.r}-sequence at depth {depth}; minimum-encoding fallback",
         )
-        stats.count_invariant()
         code, labeling = minimum_encoding(scope, stats=stats)
         return list(labeling.inverse()), ((), code)  # () sorts before every record
 
@@ -297,18 +294,18 @@ def find_isomorphism(
 ) -> Labeling | None:
     """Isomorphism from two canonical labelings, verified before returning.
 
-    `encode` is injective and the forms are canonical, so the forms are equal
-    exactly when the graphs are isomorphic, and the induced mapping is then an
-    isomorphism. The mapping is still checked, as a guard against bugs in the
-    canonizer, and a failure is reported as an invariant diagnostic with None
-    returned. `workers` is ignored, as in canon_separator.
+    The forms are canonical, so they are equal as graphs (order, edges and
+    colors) exactly when the inputs are isomorphic, and the induced mapping is
+    then an isomorphism. The mapping is still checked, as a guard against bugs
+    in the canonizer, and a failure is reported as an invariant diagnostic
+    with None returned. `workers` is ignored, as in canon_separator.
     """
     stats = stats if stats is not None else RunStats(workers)
     if graph.n != other.n:
         return None
     sig_g = canon_separator(graph, r, backend, workers, stats)
     sig_h = canon_separator(other, r, backend, workers, stats)
-    if encode(apply_permutation(graph, sig_g)) != encode(apply_permutation(other, sig_h)):
+    if apply_permutation(graph, sig_g) != apply_permutation(other, sig_h):
         return None
     mapping = sig_h.inverse().compose(sig_g)
     if apply_permutation(graph, mapping) == other:

@@ -14,6 +14,11 @@ import graphcanon
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+# invariant calls of one seed-1 round: a change in the work per operation
+# shows here, not only in the benchmark
+INVARIANT_CALLS = {"sep-wl1": 1106, "rig-wl1": 36, "iso-bf": 146}
+
+
 @pytest.mark.parametrize("name", ["sep-wl1", "rig-wl1", "iso-bf"])
 def test_one_round_of_each_workload(name, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -37,5 +42,6 @@ def test_one_round_of_each_workload(name, monkeypatch):
     }
     assert all(math.isfinite(value) for value, _ in figures.values())
     assert untraced.rounds == traced.rounds == 1
+    assert untraced.invariant_calls == traced.invariant_calls == INVARIANT_CALLS[name]
     ok = verify.check(bench.ops, untraced.outputs)
     assert run.tally([untraced, traced], ok) == (2 * len(bench.ops), 0, True)

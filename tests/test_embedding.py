@@ -4,6 +4,7 @@ import pytest
 
 from graphcanon import (
     ContractViolationError,
+    FixingTripleReport,
     Labeling,
     NoPolyhedralEmbeddingError,
     RotationSystem,
@@ -25,6 +26,7 @@ from graphcanon import (
     trace_faces,
     validate_rotation_system,
 )
+from graphcanon import embedding
 
 from .conftest import complete_graph, path_graph
 
@@ -255,6 +257,19 @@ class TestFixingTriple:
         report = fixing_triple(platonic_rotation_system("cube"))
         assert report.verified is True
         assert is_fixing_bf(cube, report.vertices)
+
+    def test_cube_enumerates_the_group_once(self, monkeypatch):
+        # one enumeration both tests faithfulness and verifies the triple
+        calls = []
+
+        def counting(graph, cap=None):
+            calls.append(graph)
+            return automorphisms(graph, cap)
+
+        monkeypatch.setattr(embedding, "automorphisms", counting)
+        report = fixing_triple(platonic_rotation_system("cube"))
+        assert report == FixingTripleReport(frozenset({1, 2, 3}), False, True, ())
+        assert len(calls) == 1
 
     def test_c5_degenerate_pair(self):
         c5 = gen_family("cycle", n=5)

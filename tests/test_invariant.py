@@ -351,6 +351,18 @@ class TestBruteForceInvariant:
         BruteForceBackend().code(g, backend_stats)
         assert backend_stats.auto_limit_hits == stats.auto_limit_hits
 
+    def test_minimum_encoding_counts_its_own_call(self):
+        g = ColoredGraph(4, [(1, 2), (2, 3), (3, 4)])
+        calls = (
+            lambda stats: minimum_encoding(g, stats=stats),
+            lambda stats: bf_invariant(g, stats=stats),
+            lambda stats: BruteForceBackend().code(g, stats),
+        )
+        for call in calls:
+            stats = RunStats()
+            call(stats)
+            assert stats.invariant_calls == 1
+
     def test_auto_limit_not_reached_on_smaller_graph(self):
         stats = RunStats()
         minimum_encoding(ColoredGraph(9), stats=stats)
@@ -712,6 +724,7 @@ GOLDEN_CASES = (
     ("separator", "wl1", 3, "k_tree", dict(n=12, k=2, seed=5), "cc73dbad2f0b65b1"),
     ("separator", "bf", 3, "partial_k_tree", dict(n=9, k=2, seed=6), "3f338f3b9fef4987"),
     ("separator", "wl1", 3, "random_gnp", dict(n=8, p=0.3, seed=9), "6123c26dbe490758"),
+    ("separator", "wl1", 4, "cycle", dict(n=4), "9ad3159beb2ed01f"),
     ("rigidity", "wl1", 1, "random_gnp", dict(n=7, p=0.4, seed=10), "a8905487f3ac1ccd"),
     ("rigidity", "bf", 1, "random_gnp", dict(n=6, p=0.5, seed=11), "30566223b9fc7d7a"),
     ("rigidity", "wl1", 1, "complete", dict(n=3), "3768fc37441972ce"),

@@ -848,3 +848,56 @@ def test_forms_canonical_on_seeded_small_graphs(backend, largest):
             forms.append(seen.pop())
         for (g, a), (h, b) in itertools.combinations(zip(graphs, forms), 2):
             assert (a == b) == (are_isomorphic_bf(g, h) is not None)
+
+
+def test_graphs_of_at_most_r_vertices_get_one_form_under_every_backend():
+    # such a graph is one scope, its own separator: it takes the least record
+    # over its orderings of least key, and no backend is asked, so every
+    # labeled graph with n <= 5 gets one form at r = 5, as does a relabeled copy
+    graphs = 0
+    for g in every_labeled_graph(5):
+        h = apply_permutation(g, relabelings(g.n, 1, seed=graphs)[0])
+        forms = {
+            encode(apply_permutation(x, canon_separator(x, 5, backend)))
+            for x in (g, h)
+            for backend in (WL1, WLK2, BF)
+        }
+        assert len(forms) == 1, g.edges
+        graphs += 1
+    assert graphs == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+@pytest.mark.parametrize("base", [Wl1Backend, BruteForceBackend], ids=["wl1", "bf"])
+def test_backend_ranks_only_scopes_above_r(monkeypatch, base):
+    # leaves are reached, and the backend is asked only for larger scopes
+    asked, leaves = [], []
+
+    class Recording(base):
+        def order(self, scope, *args):
+            asked.append(scope.n)
+            return super().order(scope, *args)
+
+    real = separator._rank_scope
+
+    def recording(scope, depth, run, *args):
+        if scope.n <= run.r:
+            leaves.append(scope.n)
+        return real(scope, depth, run, *args)
+
+    monkeypatch.setattr(separator, "_rank_scope", recording)
+    cases = [(gen_family("tree", n=10, seed=s), r) for s in range(4) for r in (1, 2, 3)]
+    cases += [(gen_family("partial_k_tree", n=10, k=2, seed=s), 3) for s in range(4)]
+    for g, r in cases:
+        asked.clear()
+        leaves.clear()
+        canon_separator(g, r, Recording())
+        assert asked and leaves
+        assert min(asked) > r
+
+
+def test_capped_bf_ranks_a_graph_of_at_most_r_vertices():
+    c4 = gen_family("cycle", n=4)
+    capped = BruteForceBackend(cap=3)
+    assert canon_separator(c4, 4, capped) == canon_separator(c4, 4, BF)
+    with pytest.raises(OracleCapacityError):
+        canon_separator(c4, 2, capped)
