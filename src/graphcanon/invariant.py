@@ -36,6 +36,12 @@ fresh colors, so it is finer than Q. Q is finer than the recolored scope's
 color classes, so the coarsest equitable partition finer than Q is S, the
 one refinement from scratch reaches. A restart code is label-independent
 given the scope, so restart codes compare among recolorings of one scope.
+
+One body refines: _wl1_start lays a stable coloring out as the ordered
+partition's arrays, and _wl1_run refines them in place and returns the code.
+wl1_refine is the one, then the other. Wl1Backend.codes lays the scope's
+partition out once per call and refines a copy for each coloring, so a
+restart pays for its fresh splits and what they set off, not for the set-up.
 """
 
 from __future__ import annotations
@@ -65,72 +71,101 @@ def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
     only with restart codes of the same `graph` and `partition`.
     """
     n = graph.n
-    neighbors = graph.neighbors
-    # A cell is the run lab[e - size[e]:e] and is named by its end e, which
-    # its untouched vertices keep when it splits.
-    cell = [0] * (n + 1)  # vertex -> end of its cell
-    size = [0] * (n + 1)  # end of a cell -> its size
-    pos = [0] * (n + 1)  # vertex -> position in lab
+    worklist = []
+    if partition is None:
+        if fresh:
+            raise ValueError("fresh colors need the stable partition to restart from")
+        partition, fresh, worklist = dict.fromkeys(graph.vertices, n), graph.colors, [n]
+    lab, cell, size, pos = _wl1_start(partition)
+    code = _wl1_run(graph._adj, lab, cell, size, pos, fresh or {}, worklist)
+    return dict(zip(graph.vertices, cell[1:])), code
+
+
+def _wl1_start(partition: dict):
+    """The ordered partition of a stable coloring, as the arrays _wl1_run
+    refines: lab lists the vertices cell by cell; a cell is the run
+    lab[e - size[e]:e] and is named by its end e, which its untouched
+    vertices keep when it splits; cell[v] is v's cell and pos[v] its index
+    in lab."""
+    n = len(partition)
+    lab = sorted(partition, key=partition.__getitem__)
+    cell = [0] * (n + 1)
+    size = [0] * (n + 1)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(lab):
+        e = cell[v] = partition[v]
+        size[e] += 1
+        pos[v] = i
+    return lab, cell, size, pos
+
+
+def _wl1_run(adj, lab, cell, size, pos, fresh, worklist) -> CanonicalCode:
+    """Refine the ordered partition in place, from the cells queued in
+    `worklist`, after splitting off the `fresh` colors, and return the code.
+
+    Each step takes the vertices of one color, or counts the edges from the
+    next splitter, and splits every cell holding a touched vertex, in
+    position order, into pieces of descending count: the touched vertices
+    move to the front of the cell, sorted, and the untouched ones keep the
+    back and the name e. If e waits in the worklist, every new piece joins
+    it; otherwise every piece but the first largest does, since the counts
+    into the largest follow from those into e and into the other pieces.
+    """
+    n = len(lab)
     count = [0] * (n + 1)  # vertex -> edges into the current splitter
     queued = [False] * (n + 1)  # end of a cell -> waits in the worklist
-    worklist: list[int] = []
-    trace = array("I")
-
-    def split(e: int, touched: list):
-        """Split cell e by `count`, given its vertices with a non-zero count.
-
-        The pieces come in descending count: the touched vertices move to the
-        front of the cell, sorted, and the untouched ones keep the back and
-        the name e. If e waits in the worklist, every new piece joins it;
-        otherwise every piece but the first largest does, since the counts
-        into the largest follow from those into e and into the other pieces.
-        """
-        s, k = size[e], len(touched)
-        c = count[touched[0]]
-        mixed = False
-        for w in touched:
-            if count[w] != c:
-                mixed = True
-                break
-        if k == s and not mixed:
-            trace.extend((e, 1, c, s))
-            return
-        p = t = e - s
-        for w in touched:  # move the touched vertices before the untouched
-            q, x = pos[w], lab[t]
-            lab[q] = x
-            pos[x] = q
-            t += 1
-        if mixed:
-            touched.sort(key=count.__getitem__, reverse=True)
-        lab[p:t] = touched
-        pieces = []  # (end, size, count)
-        c = count[touched[0]]
-        for i, w in enumerate(touched, p):
-            pos[w] = i
-            if count[w] != c:
-                pieces.append((i, i - p, c))
-                p, c = i, count[w]
-        pieces.append((t, t - p, c))
-        if k < s:
-            pieces.append((e, s - k, 0))
-        trace.extend((e, len(pieces)))
-        for q, m, c in pieces:
-            trace.extend((c, m))
-            size[q] = m
-            if q != e:
-                for w in lab[q - m:q]:
-                    cell[w] = q
-        if not queued[e]:
-            pieces.remove(max(pieces, key=itemgetter(1)))
-        for q, _, _ in pieces:
-            if not queued[q]:
-                queued[q] = True
-                heappush(worklist, q)
-
-    def split_cells(touched):
-        """Split every cell holding a touched vertex, in position order, then
-        reset the counts."""
+    for e in worklist:
+        queued[e] = True
+    by_color: dict = {}
+    for v, cs in fresh.items():
+        if not 1 <= v <= n:
+            raise InvalidGraphError(f"colored vertex {v} outside 1..{n}")
+        for c in cs:
+            by_color.setdefault(c, []).append(v)
+    colors = sorted(by_color)
+    splits = iter(colors)  # each color is split off as a splitter would be
+    trace: list = []
+    while True:
+        touched = []
+        c = next(splits, None)
+        if c is not None:
+            for w in by_color[c]:
+                if not count[w]:
+                    count[w] = 1
+                    touched.append(w)
+        elif worklist:
+            s = heappop(worklist)
+            queued[s] = False
+            trace.append(s)
+            for u in lab[s - size[s]:s]:
+                for w in adj[u]:
+                    if count[w]:
+                        count[w] += 1
+                    else:
+                        count[w] = 1
+                        touched.append(w)
+        else:
+            break
+        if len(touched) == 1:  # one cell, split at most into w and the rest
+            w = touched[0]
+            e, c = cell[w], count[w]
+            count[w] = 0
+            s = size[e]
+            if s == 1:
+                trace += (1, e, 1, c, 1)
+                continue
+            p = e - s
+            q, x = pos[w], lab[p]
+            lab[q], pos[x], lab[p], pos[w] = x, q, w, p
+            cell[w] = p + 1
+            size[p + 1], size[e] = 1, s - 1
+            trace += (1, e, 2, c, 1, 0, s - 1)
+            # one piece is queued, as below: w's, unless e waits nowhere and
+            # w's piece is the first largest, when it is e
+            q = e if s == 2 and not queued[e] else p + 1
+            queued[q] = True
+            heappush(worklist, q)
+            continue
         by_cell: dict = {}
         for w in touched:
             e = cell[w]
@@ -140,57 +175,57 @@ def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
                 by_cell[e] = [w]
         trace.append(len(by_cell))
         for e in sorted(by_cell):
-            if size[e] == 1:
-                trace.extend((e, 1, count[by_cell[e][0]], 1))
-            else:
-                split(e, by_cell[e])
+            part = by_cell[e]
+            s, k = size[e], len(part)
+            c = count[part[0]]
+            mixed = False
+            for w in part:
+                if count[w] != c:
+                    mixed = True
+                    break
+            if k == s and not mixed:
+                trace += (e, 1, c, s)
+                continue
+            p = t = e - s
+            for w in part:  # move the touched vertices before the untouched
+                q, x = pos[w], lab[t]
+                lab[q] = x
+                pos[x] = q
+                t += 1
+            if mixed:
+                part.sort(key=count.__getitem__, reverse=True)
+            lab[p:t] = part
+            pieces = []  # (end, size, count)
+            c = count[part[0]]
+            for i, w in enumerate(part, p):
+                pos[w] = i
+                if count[w] != c:
+                    pieces.append((i, i - p, c))
+                    p, c = i, count[w]
+            pieces.append((t, t - p, c))
+            if k < s:
+                pieces.append((e, s - k, 0))
+            trace += (e, len(pieces))
+            for q, m, c in pieces:
+                trace += (c, m)
+                size[q] = m
+                if q != e:
+                    for w in lab[q - m:q]:
+                        cell[w] = q
+            if not queued[e]:
+                pieces.remove(max(pieces, key=itemgetter(1)))
+            for q, _, _ in pieces:
+                if not queued[q]:
+                    queued[q] = True
+                    heappush(worklist, q)
         for w in touched:
             count[w] = 0
 
-    if partition is None:
-        if fresh:
-            raise ValueError("fresh colors need the stable partition to restart from")
-        partition, fresh = dict.fromkeys(graph.vertices, n), graph.colors
-        queued[n] = True
-        worklist.append(n)
-    lab = sorted(partition, key=partition.__getitem__)
-    for i, v in enumerate(lab):
-        e = partition[v]
-        cell[v] = e
-        size[e] += 1
-        pos[v] = i
-    by_color: dict = {}
-    for v, cs in (fresh or {}).items():
-        if not 1 <= v <= n:
-            raise InvalidGraphError(f"colored vertex {v} outside 1..{n}")
-        for c in cs:
-            by_color.setdefault(c, set()).add(v)
-    colors = sorted(by_color)
-    for c in colors:  # split off each color as a splitter would
-        touched = list(by_color[c])
-        for w in touched:
-            count[w] = 1
-        split_cells(touched)
-
-    while worklist:
-        s = heappop(worklist)
-        queued[s] = False
-        touched = []
-        for u in lab[s - size[s]:s]:
-            for w in neighbors(u):
-                if count[w]:
-                    count[w] += 1
-                else:
-                    count[w] = 1
-                    touched.append(w)
-        trace.append(s)
-        split_cells(touched)
-
+    data = array("I", trace)
     if sys.byteorder == "little":
-        trace.byteswap()  # big-endian, so byte order is numeric order
-    coloring = dict(zip(graph.vertices, cell[1:]))
+        data.byteswap()  # big-endian, so byte order is numeric order
     head = b"wl1\n" + repr(tuple(colors)).encode("ascii")
-    return coloring, CanonicalCode(head + b"\n" + trace.tobytes())
+    return CanonicalCode(head + b"\n" + data.tobytes())
 
 
 def _individualized(sequence, base: int) -> dict:
@@ -370,8 +405,9 @@ class InvariantBackend:
 
 
 class Wl1Backend(InvariantBackend):
-    """Color refinement. Recolorings of a scope restart from its stable
-    partition."""
+    """Color refinement. The recolorings of one `codes` call restart from
+    one set-up of the scope's stable partition, each from a copy of it, and
+    only their codes are kept."""
 
     name = "wl1"
 
@@ -381,11 +417,12 @@ class Wl1Backend(InvariantBackend):
         return wl1_refine(graph)[1]
 
     def codes(self, scope, colorings, partition, stats=None):
+        lab, cell, size, pos = _wl1_start(partition)
         out = []
         for coloring in colorings:
             if stats is not None:
                 stats.count_invariant()
-            out.append(wl1_refine(scope, fresh=coloring, partition=partition)[1])
+            out.append(_wl1_run(scope._adj, lab[:], cell[:], size[:], pos[:], coloring, []))
         return out
 
 

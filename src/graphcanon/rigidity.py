@@ -17,7 +17,8 @@ key shared by several sequences needs those codes, so on a graph that
 refinement makes discrete no sequence is coded at all, and the search builds
 only the groups up to the first fixing probe, never all P(n, r) sequences.
 The stable partition behind the keys is computed once; under wl1 every
-sequence and probe code restarts from it.
+sequence and probe code restarts from it, and the n probe codes of a
+sequence, one Wl1Backend.codes call, share one set-up of that partition.
 
 The base b is the graph's largest input color (0 on an uncolored graph), so
 an individualization color never aliases an input color. b is an isomorphism
@@ -71,9 +72,12 @@ def individualize(graph: ColoredGraph, sequence) -> ColoredGraph:
 def individualize_plus(graph: ColoredGraph, sequence, vertex: int) -> ColoredGraph:
     """individualize(...) with color b+r+1 additionally on `vertex`.
 
-    The vertex may itself belong to the sequence; color sets simply stack.
+    The vertex may itself belong to the sequence; color sets simply stack. A
+    vertex outside 1..n raises InvalidGraphError, as a sequence vertex does.
     """
-    return graph.with_extra_colors(_probe_colorings(graph, sequence)[vertex - 1])
+    sequence = tuple(sequence)
+    plus = graph.top_color() + len(sequence) + 1
+    return individualize(graph, sequence).with_extra_colors({vertex: [plus]})
 
 
 def _probe(

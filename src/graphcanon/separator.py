@@ -10,7 +10,9 @@ Each tried candidate goes first; the rest splits into flaps colored by their
 adjacency pattern toward the separator, which recurse, and the flap blocks
 follow in (code, certificate) order. A scope of at most r vertices is its
 own separator and asks no invariant: it takes the ordering of least record
-in the first group of invariant.key_groups, its orderings of minimal key.
+in the first group of invariant.key_groups, its orderings of minimal key. A
+flap of at most r vertices is ranked so within its parent scope, from the
+scope's adjacency and colors and its pattern color, with no graph built.
 
 Every scope returns its order and a certificate: the chosen sequence's
 record (its vertices' colors and the adjacency among them), then one (flap
@@ -166,6 +168,13 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
     induced_subgraph from the scope's adjacency. Flaps are renumbered 1..t and
     keep their origin maps; they are ordered by smallest original vertex.
     """
+    comps, pattern = _flap_parts(graph, sequence, depth, run)
+    return [Flap(*graph.induced_subgraph(comp, pattern)) for comp in comps]
+
+
+def _flap_parts(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun):
+    """The components of scope-minus-separator, ordered by smallest vertex,
+    and each vertex's pattern color as a one-color list (decompose_flaps)."""
     sequence = tuple(sequence)
     if len(set(sequence)) != len(sequence):
         raise ContractViolationError("separator sequence has repeated vertices")
@@ -177,7 +186,7 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
     for i, s in enumerate(sequence):
         for v in graph.neighbors(s):
             pattern[v][0] += 1 << i
-    return [Flap(*graph.induced_subgraph(comp, pattern)) for comp in comps]
+    return comps, pattern
 
 
 def canon_separator(
@@ -208,43 +217,52 @@ def canon_separator(
     return Labeling.from_position_order(order)
 
 
-def _record(scope: ColoredGraph, sequence) -> tuple:
-    """The scope labeled by the sequence, restricted to it: each vertex's
-    colors as a sorted tuple, then the adjacency bits among the vertices."""
-    colors = tuple([tuple(sorted(scope.color_set(v))) for v in sequence])
+def _record(sequence, color_set, neighbors) -> tuple:
+    """The graph labeled by the sequence, restricted to it: each vertex's
+    colors (color_set(v)) as a sorted tuple, then the adjacency bits among
+    the vertices (neighbors(v))."""
+    colors = tuple([tuple(sorted(color_set(v))) for v in sequence])
     bits = 0
     for u, v in itertools.combinations(sequence, 2):
-        bits = bits << 1 | scope.has_edge(u, v)
+        bits = bits << 1 | (v in neighbors(u))
     return colors, bits
 
 
-def _code_flaps(scope: ColoredGraph, coloring, partition, flaps, stats):
-    """Per flap, its code and its stable wl1 coloring, from one restart of
-    the scope recolored by `coloring`. On a disjoint union each component's
-    part of the stable partition is its own stable partition, and two
-    components are equivalent exactly when they fill the same cells: a flap's
-    code is its vertices' cells, sorted, and its coloring is the restart
-    limited to it, cells renumbered as ends."""
+def _least_record(classes: dict, color_set, neighbors):
+    """The order of a scope of at most r vertices, its own separator, and its
+    certificate: of the orderings in the first key group of `classes`, its
+    stable wl1 coloring, the one of least record (see _record), which asks
+    no invariant, since orderings of equal record differ by an automorphism."""
+    orderings = next(invariant.key_groups(classes, len(classes)))
+    ranked = ((list(seq), (_record(seq, color_set, neighbors),)) for seq in orderings)
+    return min(ranked, key=itemgetter(1))
+
+
+def _code_flaps(scope: ColoredGraph, coloring, partition, comps, stats):
+    """Per flap, given as its component of the scope, its code and its stable
+    wl1 coloring on those vertices, from one restart of the scope recolored
+    by `coloring`. On a disjoint union each component's part of the stable
+    partition is its own stable partition, and two components are equivalent
+    exactly when they fill the same cells: a flap's code is its vertices'
+    cells, sorted, and its coloring is the restart limited to it, cells
+    renumbered as ends."""
     stats.count_invariant()
     classes, _ = invariant.wl1_refine(scope, fresh=coloring, partition=partition)
     out = []
-    for flap in flaps:
-        cells = sorted(classes[v] for v in flap.origin.values())
+    for comp in comps:
+        cells = sorted(classes[v] for v in comp)
         ends = {c: i for i, c in enumerate(cells, 1)}  # the last index wins
-        out.append((tuple(cells), {u: ends[classes[v]] for u, v in flap.origin.items()}))
+        out.append((tuple(cells), {v: ends[classes[v]] for v in comp}))
     return out
 
 
 def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition):
     """The scope's vertices in canonical order, and its certificate (see the
     module docstring). `partition` is the scope's stable wl1 coloring. A
-    scope of at most r vertices is its own separator and returns the
-    least-record ordering of its first key group, with no backend call:
-    orderings of equal record differ by an automorphism."""
+    scope of at most r vertices takes its least record (_least_record)."""
     stats.observe_depth(depth)
     if scope.n <= run.r:
-        orderings = next(invariant.key_groups(partition, scope.n))
-        return min(((list(seq), (_record(scope, seq),)) for seq in orderings), key=itemgetter(1))
+        return _least_record(partition, scope.color_set, scope.neighbors)
     base = run.color_base + (depth - 1) * run.block_width
     sequences = mark_separating_sequences(scope, run.r, partition)
     if not sequences:
@@ -258,29 +276,41 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
         return list(labeling.inverse()), ((), code)  # () sorts before every record
 
     def branch(chosen):
-        """The certificate of `chosen`, its flaps with their orders in block
-        order, and the diagnostics its recursion made, taken out of stats."""
+        """The certificate of `chosen`, its flaps' orders in block order, and
+        the diagnostics its recursion made, taken out of stats. A flap of at
+        most r vertices is ranked within the scope, with no graph built."""
         mark = len(stats.diagnostics)
-        flaps = decompose_flaps(scope, chosen, depth, run)
-        coded = _code_flaps(scope, _individualized(chosen, base), partition, flaps, stats)
+        comps, pattern = _flap_parts(scope, chosen, depth, run)
+        coded = _code_flaps(scope, _individualized(chosen, base), partition, comps, stats)
+        stats.observe_depth(depth + 1)
 
         def rank_flap(i: int):
-            return _rank_scope(flaps[i].graph, depth + 1, run, stats, coded[i][1])
+            """The flap's code and certificate, and its order in the scope."""
+            comp, (code, classes) = comps[i], coded[i]
+            if len(comp) <= run.r:
+                order, cert = _least_record(
+                    classes, lambda v: scope.color_set(v).union(pattern[v]), scope.neighbors
+                )
+            else:
+                flap, origin = scope.induced_subgraph(comp, pattern)
+                local = {u: classes[v] for u, v in origin.items()}
+                order, cert = _rank_scope(flap, depth + 1, run, stats, local)
+                order = [origin[u] for u in order]
+            return (code, cert), order
 
-        ranked = parallel_map(rank_flap, range(len(flaps)))
-        keys = [(code, cert) for (code, _), (_, cert) in zip(coded, ranked)]
-        blocks = sorted(range(len(flaps)), key=keys.__getitem__)
-        certificate = (_record(scope, chosen), *(keys[i] for i in blocks))
+        # in block order; the sort is stable, so equal keys keep flap order
+        ranked = sorted(parallel_map(rank_flap, range(len(comps))), key=itemgetter(0))
+        certificate = (_record(chosen, scope.color_set, scope.neighbors), *(k for k, _ in ranked))
         found = stats.diagnostics[mark:]
         del stats.diagnostics[mark:]
-        return certificate, chosen, [(flaps[i].origin, ranked[i][0]) for i in blocks], found
+        return certificate, chosen, [order for _, order in ranked], found
 
     tied = next(run.backend.order(scope, [sequences], base, partition, stats))
     certificate, chosen, blocks, found = min(map(branch, tied), key=itemgetter(0))
     stats.diagnostics.extend(found)  # the losing branches' are dropped
     order = list(chosen)
-    for origin, local in blocks:
-        order.extend(origin[v] for v in local)
+    for block in blocks:
+        order.extend(block)
     return order, certificate
 
 

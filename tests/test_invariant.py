@@ -243,6 +243,66 @@ class TestWl1Reference:
             wl1_refine(p3, fresh={1: [1]})
 
 
+def wl1_bytes_digest(results):
+    """The first 16 hex digits of the SHA-256 of (coloring, code) pairs."""
+    h = hashlib.sha256()
+    for coloring, code in results:
+        h.update(repr(sorted(coloring.items())).encode("ascii"))
+        h.update(code.data)
+    return h.hexdigest()[:16]
+
+
+def wl1_byte_graphs(precolored: bool):
+    for g in seeded_graphs((6, 10, 17, 25), range(3)):
+        if precolored:
+            g = g.with_extra_colors({v: [v % 3, 5] if v % 4 else [2] for v in g.vertices})
+        yield g
+
+
+def probe_colorings(g):
+    """Restart colorings as rigidity probes them: the sequence vertices get
+    b+1.. and each vertex in turn one more color, so a sequence vertex
+    carries two fresh colors."""
+    b = g.top_color()
+    for seq in ((1,), (1, 2), (g.n, 1)):
+        marks = {v: [b + i] for i, v in enumerate(seq, 1)}
+        yield marks
+        for v in g.vertices:
+            yield {**marks, v: marks.get(v, []) + [b + len(seq) + 1]}
+
+
+class TestWl1Bytes:
+    """wl1 codes and colorings, from scratch and as restarts, pinned by
+    digests of their bytes: a change to the engine must keep them."""
+
+    SCRATCH = {False: "2738b9b4225faa6a", True: "c01a0232852f8ee9"}
+    RESTART = {False: "f89b3b6a79a834de", True: "cd69f40d3167e233"}
+
+    @pytest.mark.parametrize("precolored", [False, True])
+    def test_scratch_digest(self, precolored):
+        results = [wl1_refine(g) for g in wl1_byte_graphs(precolored)]
+        assert wl1_bytes_digest(results) == self.SCRATCH[precolored]
+
+    @pytest.mark.parametrize("precolored", [False, True])
+    def test_restart_digest(self, precolored):
+        results = []
+        for g in wl1_byte_graphs(precolored):
+            classes, _ = wl1_refine(g)
+            for marks in probe_colorings(g):
+                results.append(wl1_refine(g, fresh=marks, partition=classes))
+        assert wl1_bytes_digest(results) == self.RESTART[precolored]
+
+    @pytest.mark.parametrize("precolored", [False, True])
+    def test_backend_codes_equal_restart_codes(self, precolored):
+        for g in wl1_byte_graphs(precolored):
+            classes, _ = wl1_refine(g)
+            colorings = list(probe_colorings(g))
+            stats = RunStats()
+            codes = Wl1Backend().codes(g, colorings, classes, stats)
+            assert codes == [wl1_refine(g, fresh=c, partition=classes)[1] for c in colorings]
+            assert stats.invariant_calls == len(colorings)
+
+
 class TestWlk:
     def test_requires_k_at_least_two(self, p3):
         with pytest.raises(ValueError):
@@ -734,6 +794,9 @@ GOLDEN_CASES = (
     ("rigidity", "bf", 2, "cycle", dict(n=5), "d580702e59b2251d"),
     ("rigidity", "wl1", 3, "random_gnp", dict(n=6, p=0.5, seed=14), "eb589b2de3650ec3"),
     ("rigidity", "bf", 3, "partial_k_tree", dict(n=5, k=2, seed=15), "506ea19a51f47d69"),
+    # stable partitions that are not discrete, so the probes refine
+    ("rigidity", "wl1", 2, "cycle", dict(n=16), "a6cfb5ef9482fe66"),
+    ("rigidity", "wl1", 2, "k_tree", dict(n=16, k=2, seed=8), "6145344fccc57e2e"),
 )
 
 

@@ -5,6 +5,7 @@ import pytest
 from graphcanon import (
     ColoredGraph,
     ContractViolationError,
+    InvalidGraphError,
     Labeling,
     OracleCapacityError,
     apply_permutation,
@@ -19,6 +20,7 @@ from graphcanon import (
     rigidity_consistency_check,
     wl1_refine,
 )
+from graphcanon import rigidity
 from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
 from graphcanon.mincode import minimum_encoding
 from graphcanon.parallel import FALLBACK, Diagnostic, RunStats
@@ -64,6 +66,25 @@ class TestIndividualize:
         assert [h.color_set(v) for v in g.vertices] == [{0, 6}, {0, 4, 7}, {5}]
         # the input graph's colors and adjacency are shared, not rebuilt
         assert h.edges is g.edges and h.neighbors(1) is g.neighbors(1)
+
+    def test_plus_refuses_a_vertex_outside_the_graph(self):
+        c5 = gen_family("cycle", n=5)
+        for v in (0, 6):
+            with pytest.raises(InvalidGraphError):
+                individualize_plus(c5, (1,), v)
+
+    def test_plus_is_the_coloring_a_probe_codes(self):
+        # for every vertex, in and out of the sequence, on plain and
+        # precolored graphs
+        graphs = [gen_family("random_gnp", n=8, p=0.3, seed=s) for s in range(3)]
+        graphs += [gen_family("tree", n=7, seed=s) for s in range(3)]
+        graphs += [g.with_extra_colors({v: [v % 3] for v in g.vertices}) for g in graphs]
+        for g in graphs:
+            for seq in ((1,), (3, 1), (2, 5, 4)):
+                probed = rigidity._probe_colorings(g, seq)
+                for v in g.vertices:
+                    expected = g.with_extra_colors(probed[v - 1])
+                    assert individualize_plus(g, seq, v) == expected
 
 
 class TestFixingTests:

@@ -688,15 +688,21 @@ def test_search_without_a_separator_runs_one_pass_per_head_at_most(monkeypatch):
 def test_each_scope_refined_from_scratch_at_most_once(monkeypatch, backend):
     # only the root refines from scratch, under every backend: each flap's
     # partition comes from its parent's restart, and its own search, keys
-    # and candidate codes restart from it, scopes of 2 and 3 vertices too
-    scopes = []
-    real = separator._rank_scope
+    # and candidate codes restart from it, scopes of 2 and 3 vertices too,
+    # which are ranked by their least record without a graph of their own
+    scopes = []  # the order of each scope ranked, and of each least record
+    real, real_leaf = separator._rank_scope, separator._least_record
 
     def recording(scope, *args):
-        scopes.append(scope)
+        scopes.append(scope.n)
         return real(scope, *args)
 
+    def recording_leaf(classes, *args):
+        scopes.append(len(classes))
+        return real_leaf(classes, *args)
+
     monkeypatch.setattr(separator, "_rank_scope", recording)
+    monkeypatch.setattr(separator, "_least_record", recording_leaf)
     scratch = count_scratch_refinements(monkeypatch)
     cases = [(path_graph(7), 1), (gen_family("tree", n=10, seed=3), 1),
              (gen_family("partial_k_tree", n=10, k=2, seed=4), 3),
@@ -709,7 +715,7 @@ def test_each_scope_refined_from_scratch_at_most_once(monkeypatch, backend):
         scopes.clear()
         scratch.clear()
         canon_separator(g, r, backend)
-        sizes.update(h.n for h in scopes if h.n <= r)
+        sizes.update(n for n in scopes if n <= r)
         assert len(scopes) > 1
         assert scratch == [g]
     assert {1, 2, 3} <= sizes
@@ -730,9 +736,13 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, bac
     seen = []
     real = separator._code_flaps
 
-    def recording(scope, coloring, partition, flaps, stats):
-        coded = real(scope, coloring, partition, flaps, stats)
-        seen.append((flaps, coded))
+    def recording(scope, coloring, partition, comps, stats):
+        coded = real(scope, coloring, partition, comps, stats)
+        # the flaps as decompose_flaps builds them: the sequence vertices are
+        # colored base+1.. and the pattern colors start at base + r + 1
+        seq = sorted(coloring, key=coloring.get)
+        run = separator.SeparatorRun(len(seq), backend, coloring[seq[0]][0] - 1)
+        seen.append((decompose_flaps(scope, seq, 1, run), coded))
         return coded
 
     def size(n):
@@ -752,8 +762,10 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, bac
     checked = 0
     for flaps, coded in seen:
         own = [wl1_refine(flap.graph) for flap in flaps]
-        for (classes, _), (_, partition) in zip(own, coded):
-            assert partition_of(partition) == partition_of(classes)
+        for flap, (classes, _), (_, partition) in zip(flaps, own, coded):
+            assert partition_of(partition) == partition_of(
+                {flap.origin[u]: c for u, c in classes.items()}
+            )
             checked += 1
         for (a, (ca, _)), (b, (cb, _)) in itertools.combinations(zip(own, coded), 2):
             assert (a[1] == b[1]) == (ca == cb)
@@ -877,14 +889,13 @@ def test_backend_ranks_only_scopes_above_r(monkeypatch, base):
             asked.append(scope.n)
             return super().order(scope, *args)
 
-    real = separator._rank_scope
+    real = separator._least_record
 
-    def recording(scope, depth, run, *args):
-        if scope.n <= run.r:
-            leaves.append(scope.n)
-        return real(scope, depth, run, *args)
+    def recording(classes, *args):
+        leaves.append(len(classes))
+        return real(classes, *args)
 
-    monkeypatch.setattr(separator, "_rank_scope", recording)
+    monkeypatch.setattr(separator, "_least_record", recording)
     cases = [(gen_family("tree", n=10, seed=s), r) for s in range(4) for r in (1, 2, 3)]
     cases += [(gen_family("partial_k_tree", n=10, k=2, seed=s), 3) for s in range(4)]
     for g, r in cases:
@@ -892,7 +903,7 @@ def test_backend_ranks_only_scopes_above_r(monkeypatch, base):
         leaves.clear()
         canon_separator(g, r, Recording())
         assert asked and leaves
-        assert min(asked) > r
+        assert min(asked) > r >= max(leaves)
 
 
 def test_capped_bf_ranks_a_graph_of_at_most_r_vertices():
