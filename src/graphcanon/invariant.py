@@ -146,25 +146,10 @@ def _wl1_run(adj, lab, cell, size, pos, fresh, worklist) -> CanonicalCode:
                         touched.append(w)
         else:
             break
-        if len(touched) == 1:  # one cell, split at most into w and the rest
-            w = touched[0]
-            e, c = cell[w], count[w]
+        if len(touched) == 1 and size[cell[touched[0]]] == 1:
+            w = touched[0]  # a singleton cell, which cannot split
+            trace += (1, cell[w], 1, count[w], 1)
             count[w] = 0
-            s = size[e]
-            if s == 1:
-                trace += (1, e, 1, c, 1)
-                continue
-            p = e - s
-            q, x = pos[w], lab[p]
-            lab[q], pos[x], lab[p], pos[w] = x, q, w, p
-            cell[w] = p + 1
-            size[p + 1], size[e] = 1, s - 1
-            trace += (1, e, 2, c, 1, 0, s - 1)
-            # one piece is queued, as below: w's, unless e waits nowhere and
-            # w's piece is the first largest, when it is e
-            q = e if s == 2 and not queued[e] else p + 1
-            queued[q] = True
-            heappush(worklist, q)
             continue
         by_cell: dict = {}
         for w in touched:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, InvalidGraphError
 from .graph import ColoredGraph, Labeling
 from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
 from .invariant import BruteForceBackend, InvariantBackend, _individualized
@@ -75,9 +75,9 @@ def individualize_plus(graph: ColoredGraph, sequence, vertex: int) -> ColoredGra
     The vertex may itself belong to the sequence; color sets simply stack. A
     vertex outside 1..n raises InvalidGraphError, as a sequence vertex does.
     """
-    sequence = tuple(sequence)
-    plus = graph.top_color() + len(sequence) + 1
-    return individualize(graph, sequence).with_extra_colors({vertex: [plus]})
+    if not 1 <= vertex <= graph.n:
+        raise InvalidGraphError(f"vertex {vertex} outside 1..{graph.n}")
+    return graph.with_extra_colors(_probe_colorings(graph, sequence)[vertex - 1])
 
 
 def _probe(

@@ -73,19 +73,6 @@ class TestIndividualize:
             with pytest.raises(InvalidGraphError):
                 individualize_plus(c5, (1,), v)
 
-    def test_plus_is_the_coloring_a_probe_codes(self):
-        # for every vertex, in and out of the sequence, on plain and
-        # precolored graphs
-        graphs = [gen_family("random_gnp", n=8, p=0.3, seed=s) for s in range(3)]
-        graphs += [gen_family("tree", n=7, seed=s) for s in range(3)]
-        graphs += [g.with_extra_colors({v: [v % 3] for v in g.vertices}) for g in graphs]
-        for g in graphs:
-            for seq in ((1,), (3, 1), (2, 5, 4)):
-                probed = rigidity._probe_colorings(g, seq)
-                for v in g.vertices:
-                    expected = g.with_extra_colors(probed[v - 1])
-                    assert individualize_plus(g, seq, v) == expected
-
 
 class TestFixingTests:
     def test_c4_adjacent_pair_fixing(self, c4):
