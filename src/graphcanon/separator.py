@@ -322,28 +322,41 @@ def find_isomorphism(
     workers: int = 1,
     stats: RunStats | None = None,
 ) -> Labeling | None:
-    """Isomorphism from two canonical labelings, verified before returning.
+    """An isomorphism from graph onto other, verified, or None.
 
-    The forms are canonical, so they are equal as graphs (order, edges and
-    colors) exactly when the inputs are isomorphic, and the induced mapping is
-    then an isomorphism. The mapping is still checked, as a guard against bugs
-    in the canonizer, and a failure is reported as an invariant diagnostic
-    with None returned. `workers` is ignored, as in canon_separator.
+    Invariants decide before any form is built. A bad r is refused first
+    (ContractViolationError), and graphs of different orders get None. Both
+    roots are refined once by wl1, whose code is label-independent: codes
+    that differ prove the pair non-isomorphic, and None is returned with
+    `stats` untouched (no invariant call, depth or diagnostic). Otherwise
+    both roots are ranked as canon_separator ranks them, into an order and a
+    certificate. The root certificate is a complete invariant (see the module
+    docstring), so certificates that differ also give None. Equal ones give
+    the mapping from the two orders, checked edge by edge as a guard against
+    bugs in the canonizer; a failed check is reported as an invariant
+    diagnostic, with None returned. So only a pair that wl1 does not tell
+    apart reaches the minimum-encoding fallback and its OracleCapacityError.
+    `workers` is ignored, as in canon_separator.
     """
     stats = stats if stats is not None else RunStats(workers)
+    runs = [SeparatorRun(r, backend, g.top_color()) for g in (graph, other)]
     if graph.n != other.n:
         return None
-    sig_g = canon_separator(graph, r, backend, workers, stats)
-    sig_h = canon_separator(other, r, backend, workers, stats)
-    if apply_permutation(graph, sig_g) != apply_permutation(other, sig_h):
+    partition_g, code_g = invariant.wl1_refine(graph)
+    partition_h, code_h = invariant.wl1_refine(other)
+    if code_g != code_h:
         return None
-    mapping = sig_h.inverse().compose(sig_g)
+    order_g, cert_g = _rank_scope(graph, 1, runs[0], stats, partition_g)
+    order_h, cert_h = _rank_scope(other, 1, runs[1], stats, partition_h)
+    if cert_g != cert_h:
+        return None
+    mapping = Labeling(order_h).compose(Labeling.from_position_order(order_g))
     if apply_permutation(graph, mapping) == other:
         return mapping
     stats.diagnose(
         INVARIANT_FAILURE,
         1,
         graph.n,
-        "invariant failure: equal canonical codes but the induced map is not an isomorphism",
+        "invariant failure: equal root certificates but the induced map is not an isomorphism",
     )
     return None

@@ -162,8 +162,8 @@ class TestIso:
         assert proc.stderr.startswith(b"error: ")
 
     def test_wl1_blind_pair_still_verified_negative(self, tmp_path):
-        # WL-1 cannot tell C6 from two triangles, but the final mapping check
-        # keeps the verdict honest: exit 1
+        # WL-1 cannot tell C6 from two triangles, but their root certificates
+        # differ: exit 1
         c6 = tmp_path / "c6.cg"
         c6.write_text(cg_dumps(gen_family("cycle", n=6)))
         from graphcanon import ColoredGraph

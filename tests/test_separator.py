@@ -805,9 +805,71 @@ class TestFindIsomorphism:
             assert len(tree.edges) == len(image.edges)
 
     def test_verification_catches_wl1_lie(self, c6, two_triangles):
-        stats = RunStats()
-        mapping = find_isomorphism(c6, two_triangles, 1, WL1, stats=stats)
-        assert mapping is None
+        # regular pairs of one order and degree: wl1 gives both roots one
+        # code, so the root certificates decide; a relabeled copy of each
+        # graph still gets a verified mapping
+        ring = [(i, i % 8 + 1) for i in range(1, 9)]
+        pairs = [
+            (c6, two_triangles),
+            (
+                ColoredGraph(8, ring),
+                ColoredGraph(8, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (7, 8), (5, 8)]),
+            ),
+            (
+                ColoredGraph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]),
+                ColoredGraph(6, [*two_triangles.edges, (1, 4), (2, 5), (3, 6)]),
+            ),
+            (
+                gen_family("platonic", name="cube"),
+                ColoredGraph(8, ring + [(i, i + 4) for i in range(1, 5)]),
+            ),
+        ]
+        for g, h in pairs:
+            assert wl1_refine(g)[1] == wl1_refine(h)[1]
+            for backend, r in itertools.product((WL1, BF), (1, 2)):
+                stats = RunStats()
+                assert find_isomorphism(g, h, r, backend, stats=stats) is None
+                assert stats.invariant_calls > 0
+                assert INVARIANT_FAILURE not in [d.kind for d in stats.diagnostics]
+                for x in (g, h):
+                    image = apply_permutation(x, relabelings(x.n, 1, seed=x.n)[0])
+                    mapping = find_isomorphism(x, image, r, backend)
+                    assert apply_permutation(x, mapping) == image
+
+    def test_bad_r_refused_before_any_early_answer(self, p3, k3, k4):
+        # P3 and K3 differ in their root wl1 codes, and P3 and K4 in their
+        # orders, but r = 0 is refused first
+        for backend in (WL1, BF):
+            for other in (k3, k4):
+                with pytest.raises(ContractViolationError):
+                    find_isomorphism(p3, other, 0, backend)
+            assert find_isomorphism(p3, k4, 1, backend) is None
+
+    @pytest.mark.parametrize("backend", [WL1, BF], ids=["wl1", "bf"])
+    def test_wl1_reject_answers_above_the_oracle_cap(self, backend, monkeypatch, tmp_path):
+        # K11 has no separating 1-sequence and is above the cap, so ranking
+        # it would raise OracleCapacityError; its root wl1 code differs from
+        # K11 minus an edge, which decides the pair before any scope is ranked
+        k11 = complete_graph(11)
+        minus = ColoredGraph(11, [e for e in k11.edges if e != (1, 2)])
+
+        def refuse(*args):
+            raise AssertionError("a scope was ranked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(separator, "_rank_scope", refuse)
+            stats = RunStats()
+            assert find_isomorphism(k11, minus, 1, backend, stats=stats) is None
+        assert (stats.invariant_calls, stats.diagnostics, stats.max_depth) == (0, [], 0)
+        with pytest.raises(OracleCapacityError):
+            find_isomorphism(k11, k11, 1, backend)
+        a, b = tmp_path / "k11.cg", tmp_path / "minus.cg"
+        a.write_text(cg_dumps(k11))
+        b.write_text(cg_dumps(minus))
+        name = "wl1" if backend is WL1 else "bf"
+        proc = run_cli("iso", str(a), str(b), "--invariant", name, "--r", "1")
+        assert proc.returncode == 1
+        assert proc.stdout == b"non-isomorphic\n"
 
     @pytest.mark.parametrize("backend", [BF, WL1], ids=["bf", "wl1"])
     @pytest.mark.parametrize("r", [1, 2])
