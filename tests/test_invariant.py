@@ -785,6 +785,10 @@ GOLDEN_CASES = (
     ("separator", "bf", 3, "partial_k_tree", dict(n=9, k=2, seed=6), "3f338f3b9fef4987"),
     ("separator", "wl1", 3, "random_gnp", dict(n=8, p=0.3, seed=9), "6123c26dbe490758"),
     ("separator", "wl1", 4, "cycle", dict(n=4), "9ad3159beb2ed01f"),
+    # deep recursion, and a backend that codes scopes as graphs of their own
+    ("separator", "wl1", 1, "tree", dict(n=200, seed=1), "f30fd371c571c649"),
+    ("separator", "wl1", 3, "k_tree", dict(n=40, k=2, seed=1), "cab2ce4de53e7b2b"),
+    ("separator", "wlk:2", 2, "partial_k_tree", dict(n=12, k=2, seed=3), "2aff0c516829439d"),
     ("rigidity", "wl1", 1, "random_gnp", dict(n=7, p=0.4, seed=10), "a8905487f3ac1ccd"),
     ("rigidity", "bf", 1, "random_gnp", dict(n=6, p=0.5, seed=11), "30566223b9fc7d7a"),
     ("rigidity", "wl1", 1, "complete", dict(n=3), "3768fc37441972ce"),
