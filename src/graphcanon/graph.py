@@ -1,7 +1,8 @@
 """Colored graphs, labelings, canonical codes, and the brute-force isomorphism oracle.
 
 Vertices are always the integers 1..n. Colors are finite sets of non-negative
-integers attached per vertex; isomorphisms must preserve them exactly.
+integers attached per vertex; isomorphisms must preserve them exactly. A View
+reads a part of a graph in the graph's own vertex ids.
 """
 
 from __future__ import annotations
@@ -20,7 +21,111 @@ def resolve_cap(cap: int | None) -> int:
     return DEFAULT_ORACLE_CAP if cap is None else int(cap)
 
 
-class ColoredGraph:
+class _Scope:
+    """The searches a ColoredGraph and a View share. They walk `vertices`
+    (`n` of them, increasing) and `_adj` (a neighbor set per vertex), and
+    index their arrays by vertex id, 1..`bound`."""
+
+    __slots__ = ()
+
+    def neighbors(self, v: int) -> frozenset:
+        return self._adj[v]
+
+    def components(self, removed=()):
+        """Connected components of the graph minus `removed`, as frozensets,
+        ordered by smallest member."""
+        seen = set(removed)
+        comps = []
+        for start in self.vertices:
+            if start in seen:
+                continue
+            stack = [start]
+            comp = {start}
+            seen.add(start)
+            while stack:
+                x = stack.pop()
+                for y in self._adj[x]:
+                    if y not in seen:
+                        comp.add(y)
+                        seen.add(y)
+                        stack.append(y)
+            comps.append(frozenset(comp))
+        return comps
+
+    def largest_components_without(self, removed=()) -> list:
+        """largest[v] = order of the largest component of the graph minus
+        `removed` minus v, for every vertex v (other entries are unused; for a
+        removed v it is the largest component of the graph minus `removed`).
+
+        One iterative lowpoint DFS (Hopcroft & Tarjan, CACM 16, 1973) over the
+        graph minus `removed`. Removing v leaves, from v's own component, each
+        child subtree with low[c] >= disc[v] as a component of its own and the
+        rest of the component as one more; every other component stays whole.
+        """
+        n = self.n
+        adj = self._adj
+        top = self.bound + 1
+        # removed vertices count as visited, and n + 1 lowers no lowpoint
+        disc = [0] * top
+        for x in removed:
+            disc[x] = n + 1
+        low = [0] * top
+        size = [1] * top
+        cut = [0] * top  # vertices in the child subtrees that v cuts off
+        big = [0] * top  # the largest piece v's own component splits into
+        comp = [0] * top  # order of v's component
+        order = 0
+        first = second = 0  # the two largest component orders
+        for root in self.vertices:
+            if disc[root]:
+                continue
+            order += 1
+            disc[root] = low[root] = order
+            visit = [root]
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                v, it = stack[-1]
+                for w in it:
+                    dw = disc[w]
+                    if not dw:
+                        order += 1
+                        disc[w] = low[w] = order
+                        visit.append(w)
+                        stack.append((w, iter(adj[w])))
+                        break
+                    if dw < low[v]:
+                        low[v] = dw
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        s = size[v]
+                        size[p] += s
+                        if low[v] >= disc[p]:
+                            cut[p] += s
+                            if s > big[p]:
+                                big[p] = s
+                        elif low[v] < low[p]:
+                            low[p] = low[v]
+            total = size[root]
+            for v in visit:
+                comp[v] = total
+                rest = total - 1 - cut[v]
+                if rest > big[v]:
+                    big[v] = rest
+            if total > first:
+                first, second = total, first
+            elif total > second:
+                second = total
+        largest = [first] * top
+        for v in self.vertices:
+            if disc[v] <= n:
+                other = second if comp[v] == first else first
+                largest[v] = big[v] if big[v] > other else other
+        return largest
+
+
+class ColoredGraph(_Scope):
     """Simple undirected graph on vertices 1..n with a color set per vertex.
 
     Instances are immutable and hashable; operations that "modify" a graph
@@ -71,8 +176,9 @@ class ColoredGraph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def neighbors(self, v: int) -> frozenset:
-        return self._adj[v]
+    @property
+    def bound(self) -> int:
+        return self.n
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -137,99 +243,6 @@ class ColoredGraph:
         graph._key = (n, edges, frozenset(colors.items()))
         return graph
 
-    def components(self, removed=()):
-        """Connected components of the graph minus `removed`, as frozensets,
-        ordered by smallest member."""
-        seen = set(removed)
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if y not in seen:
-                        comp.add(y)
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-        return comps
-
-    def largest_components_without(self, removed=()) -> list:
-        """largest[v] = order of the largest component of the graph minus
-        `removed` minus v, for every vertex v (entry 0 is unused; for a
-        removed v it is the largest component of the graph minus `removed`).
-
-        One iterative lowpoint DFS (Hopcroft & Tarjan, CACM 16, 1973) over the
-        graph minus `removed`. Removing v leaves, from v's own component, each
-        child subtree with low[c] >= disc[v] as a component of its own and the
-        rest of the component as one more; every other component stays whole.
-        """
-        n = self.n
-        adj = self._adj
-        # removed vertices count as visited, and n + 1 lowers no lowpoint
-        disc = [0] * (n + 1)
-        for x in removed:
-            disc[x] = n + 1
-        low = [0] * (n + 1)
-        size = [1] * (n + 1)
-        cut = [0] * (n + 1)  # vertices in the child subtrees that v cuts off
-        big = [0] * (n + 1)  # the largest piece v's own component splits into
-        comp = [0] * (n + 1)  # order of v's component
-        order = 0
-        first = second = 0  # the two largest component orders
-        for root in range(1, n + 1):
-            if disc[root]:
-                continue
-            order += 1
-            disc[root] = low[root] = order
-            visit = [root]
-            stack = [(root, iter(adj[root]))]
-            while stack:
-                v, it = stack[-1]
-                for w in it:
-                    dw = disc[w]
-                    if not dw:
-                        order += 1
-                        disc[w] = low[w] = order
-                        visit.append(w)
-                        stack.append((w, iter(adj[w])))
-                        break
-                    if dw < low[v]:
-                        low[v] = dw
-                else:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        s = size[v]
-                        size[p] += s
-                        if low[v] >= disc[p]:
-                            cut[p] += s
-                            if s > big[p]:
-                                big[p] = s
-                        elif low[v] < low[p]:
-                            low[p] = low[v]
-            total = size[root]
-            for v in visit:
-                comp[v] = total
-                rest = total - 1 - cut[v]
-                if rest > big[v]:
-                    big[v] = rest
-            if total > first:
-                first, second = total, first
-            elif total > second:
-                second = total
-        largest = [first] * (n + 1)
-        largest[0] = 0
-        for v in range(1, n + 1):
-            if disc[v] <= n:
-                other = second if comp[v] == first else first
-                largest[v] = big[v] if big[v] > other else other
-        return largest
-
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
@@ -241,6 +254,47 @@ class ColoredGraph:
 
     def __repr__(self):
         return f"ColoredGraph(n={self.n}, edges={len(self.edges)}, colored={len(self.colors)})"
+
+
+class View(_Scope):
+    """A component of a scope (a graph or a view) minus the set `removed`,
+    read through the root graph: `vertices` is the component, sorted, in root
+    ids. A neighbor set is the scope's, shared, less `removed` for the
+    vertices in `bits`, those adjacent to `removed`. The colors are the
+    root's plus, per enclosing scope, a layer (c, bits): v gets c + bits.get(v, 0).
+    with_extra_colors builds the view as a graph once, renumbered 1..n in
+    vertex order, as induced_subgraph does.
+    """
+
+    __slots__ = ("root", "vertices", "n", "_adj", "layers", "_built")
+
+    def __init__(self, scope: _Scope, component, removed, layer):
+        if isinstance(scope, View):
+            self.root, self.layers = scope.root, scope.layers + (layer,)
+        else:
+            self.root, self.layers = scope, (layer,)
+        self.vertices = sorted(component)
+        self.n = len(self.vertices)
+        adj, bits = scope._adj, layer[1]
+        self._adj = {v: adj[v].difference(removed) if v in bits else adj[v] for v in self.vertices}
+        self._built = None
+
+    @property
+    def bound(self) -> int:
+        return self.root.n
+
+    def color_set(self, v: int) -> frozenset:
+        return self.root.color_set(v).union([c + bits.get(v, 0) for c, bits in self.layers])
+
+    def with_extra_colors(self, extra) -> ColoredGraph:
+        """The view as a ColoredGraph (see the class docstring), with extra[v]
+        unioned onto the color set of each listed vertex v, a root id."""
+        if self._built is None:
+            layered = {v: self.color_set(v) for v in self.vertices}
+            graph, origin = self.root.induced_subgraph(self.vertices, layered)
+            self._built = graph, {v: u for u, v in origin.items()}
+        graph, local = self._built
+        return graph.with_extra_colors({local[v]: cs for v, cs in extra.items()})
 
 
 class Labeling:

@@ -68,7 +68,8 @@ def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
     `fresh` (vertex -> colors above every color of `graph`), it restarts from
     that partition with the fresh colors. The result is then the stable
     partition of `graph` with the fresh colors added, and the code compares
-    only with restart codes of the same `graph` and `partition`.
+    only with restart codes of the same `graph` and `partition`. A restart
+    may refine a graph.View as well, in the root's vertex ids.
     """
     n = graph.n
     worklist = []
@@ -76,22 +77,23 @@ def wl1_refine(graph: ColoredGraph, *, fresh=None, partition=None):
         if fresh:
             raise ValueError("fresh colors need the stable partition to restart from")
         partition, fresh, worklist = dict.fromkeys(graph.vertices, n), graph.colors, [n]
-    lab, cell, size, pos = _wl1_start(partition)
+    lab, cell, size, pos = _wl1_start(partition, graph.bound)
     code = _wl1_run(graph._adj, lab, cell, size, pos, fresh or {}, worklist)
-    return dict(zip(graph.vertices, cell[1:])), code
+    vertices = graph.vertices
+    return dict(zip(vertices, map(cell.__getitem__, vertices))), code
 
 
-def _wl1_start(partition: dict):
+def _wl1_start(partition: dict, bound: int):
     """The ordered partition of a stable coloring, as the arrays _wl1_run
     refines: lab lists the vertices cell by cell; a cell is the run
     lab[e - size[e]:e] and is named by its end e, which its untouched
     vertices keep when it splits; cell[v] is v's cell and pos[v] its index
-    in lab."""
+    in lab, for vertex ids v in 1..bound (cell[v] is 0 off the partition)."""
     n = len(partition)
     lab = sorted(partition, key=partition.__getitem__)
-    cell = [0] * (n + 1)
+    cell = [0] * (bound + 1)
     size = [0] * (n + 1)
-    pos = [0] * (n + 1)
+    pos = [0] * (bound + 1)
     for i, v in enumerate(lab):
         e = cell[v] = partition[v]
         size[e] += 1
@@ -111,15 +113,14 @@ def _wl1_run(adj, lab, cell, size, pos, fresh, worklist) -> CanonicalCode:
     it; otherwise every piece but the first largest does, since the counts
     into the largest follow from those into e and into the other pieces.
     """
-    n = len(lab)
-    count = [0] * (n + 1)  # vertex -> edges into the current splitter
-    queued = [False] * (n + 1)  # end of a cell -> waits in the worklist
+    count = [0] * len(cell)  # vertex -> edges into the current splitter
+    queued = [False] * (len(lab) + 1)  # end of a cell -> waits in the worklist
     for e in worklist:
         queued[e] = True
     by_color: dict = {}
     for v, cs in fresh.items():
-        if not 1 <= v <= n:
-            raise InvalidGraphError(f"colored vertex {v} outside 1..{n}")
+        if not 0 < v < len(cell) or not cell[v]:
+            raise InvalidGraphError(f"colored vertex {v} outside the graph")
         for c in cs:
             by_color.setdefault(c, []).append(v)
     colors = sorted(by_color)
@@ -345,9 +346,10 @@ class InvariantBackend:
     """An invariant as a reusable object: equal codes on isomorphic colored graphs.
 
     `codes` and `order` code recolorings of one scope: each coloring maps
-    vertices to extra colors, all above the scope's colors. `partition` is
-    the scope's stable wl1 coloring (wl1_refine): wl1 restarts from it, and
-    the other backends code `scope.with_extra_colors(coloring)`. `order` is
+    vertices to extra colors, all above the scope's colors. A scope is a
+    ColoredGraph or a graph.View of one. `partition` is the scope's stable
+    wl1 coloring (wl1_refine): wl1 restarts from it, and the other backends
+    code `scope.with_extra_colors(coloring)`, a graph. `order` is
     the one candidate rule of both canonizers, and all that the separator
     recursion asks of a backend: it codes flaps by wl1 restarts.
     """
@@ -357,11 +359,11 @@ class InvariantBackend:
     def code(self, graph: ColoredGraph, stats=None) -> CanonicalCode:
         raise NotImplementedError
 
-    def codes(self, scope: ColoredGraph, colorings, partition, stats=None) -> list:
-        """Per coloring, a code of the recolored scope; the codes compare with
-        each other, and equal ones mean the invariant cannot tell the two
-        recolorings apart."""
-        return [self.code(scope.with_extra_colors(c), stats) for c in colorings]
+    def codes(self, scope: ColoredGraph, colorings, partition, stats=None):
+        """Per coloring, lazily, a code of the recolored scope; the codes
+        compare with each other, and equal ones mean the invariant cannot
+        tell the two recolorings apart."""
+        return (self.code(scope.with_extra_colors(c), stats) for c in colorings)
 
     def order(self, scope: ColoredGraph, groups, base: int, partition, stats=None):
         """The sequences of `groups`, lazily, in tie classes: per group in
@@ -402,13 +404,11 @@ class Wl1Backend(InvariantBackend):
         return wl1_refine(graph)[1]
 
     def codes(self, scope, colorings, partition, stats=None):
-        lab, cell, size, pos = _wl1_start(partition)
-        out = []
+        lab, cell, size, pos = _wl1_start(partition, scope.bound)
         for coloring in colorings:
             if stats is not None:
                 stats.count_invariant()
-            out.append(_wl1_run(scope._adj, lab[:], cell[:], size[:], pos[:], coloring, []))
-        return out
+            yield _wl1_run(scope._adj, lab[:], cell[:], size[:], pos[:], coloring, [])
 
 
 class WlkBackend(InvariantBackend):

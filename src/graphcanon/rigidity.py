@@ -41,7 +41,10 @@ from .parallel import FALLBACK, RunStats, parallel_map  # noqa: F401  (perfbench
 
 @dataclass(frozen=True)
 class FixingCandidate:
-    """One probed sequence: its per-vertex codes and whether they were distinct."""
+    """One probed sequence: its per-vertex codes and whether they were distinct.
+
+    The probe stops at the first code that repeats an earlier one, so a
+    non-fixing candidate holds the codes of the vertices before that one."""
 
     sequence: tuple
     per_vertex_codes: dict
@@ -83,11 +86,17 @@ def individualize_plus(graph: ColoredGraph, sequence, vertex: int) -> ColoredGra
 def _probe(
     graph: ColoredGraph, sequence, backend: InvariantBackend, partition, stats=None
 ) -> FixingCandidate:
-    """Code every per-vertex coloring of the sequence (individualize_plus);
-    `partition` is the graph's stable wl1 coloring."""
-    codes = backend.codes(graph, _probe_colorings(graph, sequence), partition, stats)
-    fixing = len(set(codes)) == graph.n
-    return FixingCandidate(tuple(sequence), dict(zip(graph.vertices, codes)), fixing)
+    """Code the per-vertex colorings of the sequence (individualize_plus) in
+    vertex order, up to the first repeated code, which already makes the
+    sequence non-fixing; `partition` is the graph's stable wl1 coloring."""
+    codes, seen = {}, set()
+    colorings = _probe_colorings(graph, sequence)
+    for v, code in zip(graph.vertices, backend.codes(graph, colorings, partition, stats)):
+        if code in seen:
+            break
+        seen.add(code)
+        codes[v] = code
+    return FixingCandidate(tuple(sequence), codes, len(codes) == graph.n)
 
 
 def is_fixing_by_invariant(graph: ColoredGraph, sequence, backend: InvariantBackend) -> bool:

@@ -10,9 +10,14 @@ Each tried candidate goes first; the rest splits into flaps colored by their
 adjacency pattern toward the separator, which recurse, and the flap blocks
 follow in (code, certificate) order. A scope of at most r vertices is its
 own separator and asks no invariant: it takes the ordering of least record
-in the first group of invariant.key_groups, its orderings of minimal key. A
-flap of at most r vertices is ranked so within its parent scope, from the
-scope's adjacency and colors and its pattern color, with no graph built.
+in the first group of invariant.key_groups, its orderings of minimal key
+(one vertex has one ordering). A flap of at most r vertices is ranked so
+within its parent scope, from the scope's adjacency and colors and its
+pattern color. A larger flap is a graph.View of the root, whose colors are
+looked up only for the records taken; the separator search and wl1 run on
+it as on the root, in root ids, so no graph is built below the root. Only
+bf, wlk and the minimum-encoding fallback build a view's graph, once,
+renumbered in vertex order, so they code the flap as a graph of its own.
 
 Every scope returns its order and a certificate: the chosen sequence's
 record (its vertices' colors and the adjacency among them), then one (flap
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ContractViolationError
-from .graph import ColoredGraph, Labeling, apply_permutation
+from .graph import ColoredGraph, Labeling, View
 from . import invariant  # wl1_refine is looked up there, where perfbench wraps it
 from .invariant import InvariantBackend, _individualized
 from .mincode import minimum_encoding
@@ -84,7 +89,7 @@ def _split(graph: ColoredGraph, vertex_set):
     """The components of G minus the set, and whether each has at most n/2
     vertices (exactly: 2*size <= n, n the order of this graph)."""
     xs = set(vertex_set)
-    if not all(v in graph.vertices for v in xs):
+    if not all(v in graph._adj for v in xs):
         raise ContractViolationError("separator candidates must be vertices of the graph")
     comps = graph.components(xs)
     return comps, all(2 * len(comp) <= graph.n for comp in comps)
@@ -168,25 +173,27 @@ def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun
     induced_subgraph from the scope's adjacency. Flaps are renumbered 1..t and
     keep their origin maps; they are ordered by smallest original vertex.
     """
-    comps, pattern = _flap_parts(graph, sequence, depth, run)
+    comps, (c, bits) = _flap_parts(graph, sequence, depth, run)
+    pattern = {v: [c + bits.get(v, 0)] for v in graph.vertices}
     return [Flap(*graph.induced_subgraph(comp, pattern)) for comp in comps]
 
 
 def _flap_parts(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun):
     """The components of scope-minus-separator, ordered by smallest vertex,
-    and each vertex's pattern color as a one-color list (decompose_flaps)."""
+    and the pattern colors (decompose_flaps) as a layer (c, bits): vertex v
+    has color c + bits.get(v, 0), and bits lists exactly the vertices
+    adjacent to the sequence."""
     sequence = tuple(sequence)
     if len(set(sequence)) != len(sequence):
         raise ContractViolationError("separator sequence has repeated vertices")
     comps, balanced = _split(graph, sequence)
     if not balanced:
         raise ContractViolationError("sequence is not a separator of this scope")
-    base = run.color_base + (depth - 1) * run.block_width + run.r + 1
-    pattern = {v: [base] for v in graph.vertices}
+    bits: dict = {}
     for i, s in enumerate(sequence):
         for v in graph.neighbors(s):
-            pattern[v][0] += 1 << i
-    return comps, pattern
+            bits[v] = bits.get(v, 0) | 1 << i
+    return comps, (run.color_base + (depth - 1) * run.block_width + run.r + 1, bits)
 
 
 def canon_separator(
@@ -233,6 +240,9 @@ def _least_record(classes: dict, color_set, neighbors):
     certificate: of the orderings in the first key group of `classes`, its
     stable wl1 coloring, the one of least record (see _record), which asks
     no invariant, since orderings of equal record differ by an automorphism."""
+    if len(classes) == 1:
+        (v,) = classes
+        return [v], (((tuple(sorted(color_set(v))),), 0),)
     orderings = next(invariant.key_groups(classes, len(classes)))
     ranked = ((list(seq), (_record(seq, color_set, neighbors),)) for seq in orderings)
     return min(ranked, key=itemgetter(1))
@@ -256,10 +266,11 @@ def _code_flaps(scope: ColoredGraph, coloring, partition, comps, stats):
     return out
 
 
-def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, partition):
+def _rank_scope(scope, depth: int, run: SeparatorRun, stats, partition):
     """The scope's vertices in canonical order, and its certificate (see the
-    module docstring). `partition` is the scope's stable wl1 coloring. A
-    scope of at most r vertices takes its least record (_least_record)."""
+    module docstring). The scope is the root ColoredGraph or a View of it,
+    and `partition` is its stable wl1 coloring. A scope of at most r
+    vertices takes its least record (_least_record)."""
     stats.observe_depth(depth)
     if scope.n <= run.r:
         return _least_record(partition, scope.color_set, scope.neighbors)
@@ -272,15 +283,18 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
             scope.n,
             f"no separating {run.r}-sequence at depth {depth}; minimum-encoding fallback",
         )
-        code, labeling = minimum_encoding(scope, stats=stats)
-        return list(labeling.inverse()), ((), code)  # () sorts before every record
+        # a view is coded as its own graph, renumbered in vertex order
+        code, labeling = minimum_encoding(scope.with_extra_colors({}), stats=stats)
+        order = [scope.vertices[u - 1] for u in labeling.inverse()]
+        return order, ((), code)  # () sorts before every record
 
     def branch(chosen):
         """The certificate of `chosen`, its flaps' orders in block order, and
         the diagnostics its recursion made, taken out of stats. A flap of at
-        most r vertices is ranked within the scope, with no graph built."""
+        most r vertices is ranked within the scope, and a larger one as a
+        View of the root: no graph is built."""
         mark = len(stats.diagnostics)
-        comps, pattern = _flap_parts(scope, chosen, depth, run)
+        comps, (c, bits) = _flap_parts(scope, chosen, depth, run)
         coded = _code_flaps(scope, _individualized(chosen, base), partition, comps, stats)
         stats.observe_depth(depth + 1)
 
@@ -289,13 +303,11 @@ def _rank_scope(scope: ColoredGraph, depth: int, run: SeparatorRun, stats, parti
             comp, (code, classes) = comps[i], coded[i]
             if len(comp) <= run.r:
                 order, cert = _least_record(
-                    classes, lambda v: scope.color_set(v).union(pattern[v]), scope.neighbors
+                    classes, lambda v: scope.color_set(v) | {c + bits.get(v, 0)}, scope.neighbors
                 )
             else:
-                flap, origin = scope.induced_subgraph(comp, pattern)
-                local = {u: classes[v] for u, v in origin.items()}
-                order, cert = _rank_scope(flap, depth + 1, run, stats, local)
-                order = [origin[u] for u in order]
+                flap = View(scope, comp, chosen, (c, bits))
+                order, cert = _rank_scope(flap, depth + 1, run, stats, classes)
             return (code, cert), order
 
         # in block order; the sort is stable, so equal keys keep flap order
@@ -351,7 +363,10 @@ def find_isomorphism(
     if cert_g != cert_h:
         return None
     mapping = Labeling(order_h).compose(Labeling.from_position_order(order_g))
-    if apply_permutation(graph, mapping) == other:
+    m = (0, *mapping)  # checked on the two graphs, with no image built
+    edges = {(m[u], m[v]) if m[u] < m[v] else (m[v], m[u]) for u, v in graph.edges}
+    colors = all(graph.color_set(v) == other.color_set(m[v]) for v in graph.vertices)
+    if edges == other.edges and colors:
         return mapping
     stats.diagnose(
         INVARIANT_FAILURE,

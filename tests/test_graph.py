@@ -17,6 +17,7 @@ from graphcanon import (
     gen_family,
     parallel_map,
 )
+from graphcanon.graph import View
 
 from .conftest import complete_graph, path_graph
 
@@ -323,6 +324,61 @@ class TestRecoloring:
         for v in (0, 4, 9):
             with pytest.raises(InvalidGraphError):
                 p3.with_extra_colors({v: [1]})
+
+
+def adjacency_bits(graph, sequence):
+    """v -> sum of 2^i over the positions i of the sequence adjacent to v."""
+    bits = {}
+    for i, s in enumerate(sequence):
+        for v in graph.neighbors(s):
+            bits[v] = bits.get(v, 0) | 1 << i
+    return bits
+
+
+class TestView:
+    def test_reads_as_the_graph_induced_subgraph_builds(self):
+        # a view of a view of the root equals the flap built in two steps,
+        # and its searches give the built graph's answers in root ids
+        checked = 0
+        for g in seeded_small_graphs():
+            for removed in small_vertex_sets(g, 1):
+                bits = adjacency_bits(g, removed)
+                for comp in g.components(removed):
+                    view = View(g, comp, frozenset(removed), (20, bits))
+                    flap, origin = g.induced_subgraph(
+                        comp, {v: [20 + bits.get(v, 0)] for v in comp}
+                    )
+                    inner = (view.vertices[0],)
+                    inner_bits = adjacency_bits(view, inner)
+                    for part in view.components(inner):
+                        deeper = View(view, part, frozenset(inner), (30, inner_bits))
+                        local = {v: u for u, v in origin.items()}
+                        graph, back = flap.induced_subgraph(
+                            [local[v] for v in part],
+                            {local[v]: [30 + inner_bits.get(v, 0)] for v in part},
+                        )
+                        ids = [origin[back[u]] for u in graph.vertices]
+                        assert deeper.vertices == ids == sorted(part)
+                        assert deeper.with_extra_colors({}) == graph
+                        for u, v in enumerate(ids, 1):
+                            assert deeper.color_set(v) == graph.color_set(u)
+                            assert deeper.neighbors(v) == {ids[w - 1] for w in graph.neighbors(u)}
+                        largest = deeper.largest_components_without()
+                        assert [largest[v] for v in ids] == graph.largest_components_without()[1:]
+                        assert deeper.components() == [
+                            frozenset(ids[u - 1] for u in c) for c in graph.components()
+                        ]
+                        checked += 1
+        assert checked > 100
+
+    def test_builds_its_graph_once_and_recolors_by_root_ids(self):
+        g = ColoredGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], {4: {2}})
+        view = View(g, {3, 4, 5}, frozenset({2}), (10, {1: 1, 3: 1}))
+        first = view.with_extra_colors({5: [40]})
+        # 3, 4, 5 are 1, 2, 3; 3 is adjacent to the removed 2
+        assert [first.color_set(u) for u in first.vertices] == [{11}, {2, 10}, {10, 40}]
+        assert first.edges == frozenset({(1, 2), (2, 3)})
+        assert view.with_extra_colors({}).edges is first.edges
 
 
 class TestParallelMap:

@@ -298,7 +298,7 @@ class TestWl1Bytes:
             classes, _ = wl1_refine(g)
             colorings = list(probe_colorings(g))
             stats = RunStats()
-            codes = Wl1Backend().codes(g, colorings, classes, stats)
+            codes = list(Wl1Backend().codes(g, colorings, classes, stats))
             assert codes == [wl1_refine(g, fresh=c, partition=classes)[1] for c in colorings]
             assert stats.invariant_calls == len(colorings)
 
@@ -513,7 +513,7 @@ def reference_ranks(backend, scope, sequences, base):
     group holds a code tie."""
     classes, _ = wl1_refine(scope)
     marks = [{v: [base + i] for i, v in enumerate(s, 1)} for s in sequences]
-    codes = backend.codes(scope, marks, classes)
+    codes = list(backend.codes(scope, marks, classes))
     keys = [tuple(classes[v] for v in s) for s in sequences]
     assert len(set(zip(keys, codes))) < len(sequences), "the case must contain a tie"
     return list(zip(keys, codes))
@@ -643,7 +643,7 @@ class TestArgmin:
         marks = [{v: [1]} for v in g.vertices]
         scratch = count_scratch_refinements(monkeypatch)
         stats = RunStats()
-        Wl1Backend().codes(g, marks, classes, stats)
+        list(Wl1Backend().codes(g, marks, classes, stats))
         assert scratch == [] and stats.invariant_calls == g.n
 
 

@@ -238,6 +238,20 @@ class TestCanonRigidity:
             Diagnostic(FALLBACK, 1, 9, "no fixing 10-sequence; minimum-encoding fallback")
         ]
 
+    def test_probe_stops_at_the_first_repeated_code(self):
+        # on C_n a probe codes its vertices until one mirrors an earlier one;
+        # coding all n of every probe took 512 and 2,048 calls
+        for n, calls in ((16, 360), (32, 1360)):
+            stats = RunStats()
+            canon_rigidity(gen_family("cycle", n=n), 2, Wl1Backend(), stats=stats)
+            assert stats.invariant_calls == calls
+        c6 = gen_family("cycle", n=6)
+        partition, _ = wl1_refine(c6)
+        probe = rigidity._probe(c6, (1,), Wl1Backend(), partition)
+        # 5 mirrors 3 across the axis through 1, so 5 is the first repeat
+        assert not probe.fixing and list(probe.per_vertex_codes) == [1, 2, 3, 4]
+        assert len(set(probe.per_vertex_codes.values())) == 4
+
     def test_fallback_diagnostic_record(self, k3):
         stats = RunStats()
         canon_rigidity(k3, 1, Wl1Backend(), stats=stats)
@@ -262,7 +276,7 @@ def _eager_rigidity(graph, r, backend):
         codes = dict(zip(graph.vertices, backend.codes(graph, plus, classes)))
         probes.append((s, marks, codes, len(set(codes.values())) == graph.n))
     fixing = [
-        (tuple(classes[v] for v in s), backend.codes(graph, [marks], classes)[0], i)
+        (tuple(classes[v] for v in s), next(backend.codes(graph, [marks], classes)), i)
         for i, (s, marks, _, ok) in enumerate(probes)
         if ok
     ]

@@ -75,6 +75,25 @@ def flaps_by_two_step_induction(graph, sequence, depth, run):
     return flaps
 
 
+def count_graph_builds(monkeypatch) -> list:
+    """Record every ColoredGraph built: by __init__ or, from parts already
+    checked, by _from_parts, the path induced_subgraph takes."""
+    built = []
+    init, from_parts = ColoredGraph.__init__, ColoredGraph._from_parts.__func__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_from_parts(cls, *args):
+        built.append(1)
+        return from_parts(cls, *args)
+
+    monkeypatch.setattr(ColoredGraph, "__init__", counting_init)
+    monkeypatch.setattr(ColoredGraph, "_from_parts", classmethod(counting_from_parts))
+    return built
+
+
 def count_separator_work(monkeypatch):
     """Record every ColoredGraph.components and separator.is_separator call."""
     walks, tests = [], []
@@ -255,23 +274,9 @@ class TestDecomposeFlaps:
                         assert [(f.graph, f.origin) for f in flaps] == expected
 
     def test_one_graph_built_per_flap_and_none_to_test_separators(self, monkeypatch):
-        # a graph is built by __init__ or, from parts already checked, by
-        # _from_parts, the path induced_subgraph takes; both are counted
-        built = []
-        init, from_parts = ColoredGraph.__init__, ColoredGraph._from_parts.__func__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        def counting_from_parts(cls, *args):
-            built.append(1)
-            return from_parts(cls, *args)
-
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
         run = SeparatorRun(2, BF)
-        monkeypatch.setattr(ColoredGraph, "__init__", counting_init)
-        monkeypatch.setattr(ColoredGraph, "_from_parts", classmethod(counting_from_parts))
+        built = count_graph_builds(monkeypatch)
         sequences = mark_separating_sequences(g, 2)
         assert sequences and not built
         flaps = decompose_flaps(g, sequences[0], 1, run)
@@ -546,7 +551,7 @@ def reference_root_choice(graph, r, backend):
     seqs = [s for s, k in zip(seqs, keys) if k == min(keys)]
     b = graph.top_color()
     marks = [{v: [b + i + 1] for i, v in enumerate(s)} for s in seqs]
-    codes = backend.codes(graph, marks, classes)
+    codes = list(backend.codes(graph, marks, classes))
     return seqs[codes.index(min(codes))]
 
 
@@ -721,11 +726,79 @@ def test_each_scope_refined_from_scratch_at_most_once(monkeypatch, backend):
     assert {1, 2, 3} <= sizes
 
 
+def test_one_vertex_leaves_skip_key_groups(monkeypatch):
+    # a leaf of one vertex has one ordering, so its record is taken directly
+    sizes = []
+    real = invariant.key_groups
+
+    def recording(partition, r):
+        sizes.append(len(partition))
+        return real(partition, r)
+
+    monkeypatch.setattr(invariant, "key_groups", recording)
+    for make, r in BENCH_SCOPES:
+        canon_separator(make(), r, WL1)
+    assert sizes and 1 not in sizes
+
+
+def test_wl1_ranks_every_flap_as_a_view_and_builds_no_graph(monkeypatch):
+    # the recursion reads each flap through the root, and iso checks its
+    # mapping on the two graphs it was given
+    graphs = [(make(), r) for make, r in BENCH_SCOPES]
+    g = gen_family("partial_k_tree", n=30, k=2, seed=2)
+    image = apply_permutation(g, relabelings(g.n, 1, seed=3)[0])
+    built = count_graph_builds(monkeypatch)
+    for h, r in graphs:
+        stats = RunStats()
+        canon_separator(h, r, WL1, stats=stats)
+        assert stats.max_depth > 3
+    assert find_isomorphism(g, image, 3, WL1) is not None
+    assert built == []
+
+
+@pytest.mark.parametrize("backend", [BF, WLK2], ids=["bf", "wlk2"])
+def test_a_view_builds_its_graph_at_most_once(monkeypatch, backend):
+    # a backend other than wl1 codes a view as a graph, built on demand and
+    # kept: at most one per scope below the root. The 2-tree codes tied
+    # candidates of a flap, and the G(9, 0.3) falls back on a flap
+    views = []
+    real = separator._rank_scope
+
+    def recording(scope, *args):
+        views.append(scope)
+        return real(scope, *args)
+
+    monkeypatch.setattr(separator, "_rank_scope", recording)
+    built = count_graph_builds(monkeypatch)
+    for g, r in ((gen_family("k_tree", n=10, k=2, seed=2), 3),
+                 (gen_family("random_gnp", n=9, p=0.3, seed=4), 1)):
+        views.clear()
+        built.clear()
+        canon_separator(g, r, backend)
+        assert views[0] is g and len(views) > 1
+        assert 0 < len(built) <= len(views) - 1
+
+
 def colored_copy(g, seed):
     """g with a color from 1..3 on each vertex with chance 0.4."""
     rng = Lcg64(seed)
     colors = {v: {1 + rng.randrange(3)} for v in g.vertices if rng.chance(0.4)}
     return ColoredGraph(g.n, g.edges, colors)
+
+
+def flap_graph(scope, sequence, comp, base):
+    """The flap on `comp`, a component of the scope (a graph or a view) minus
+    the sequence, as a graph of its own, renumbered in vertex order: the
+    scope's colors plus the pattern color base + the sum of 2^(i-1) over the
+    sequence positions i it is adjacent to. Also the map back to the scope."""
+    kept = sorted(comp)
+    index = {v: i for i, v in enumerate(kept, 1)}
+    edges = [(index[u], index[v]) for u in kept for v in scope.neighbors(u) if v in index]
+    colors = {}
+    for v in kept:
+        bits = sum(1 << i for i, s in enumerate(sequence) if v in scope.neighbors(s))
+        colors[index[v]] = scope.color_set(v) | {base + bits}
+    return ColoredGraph(len(kept), edges, colors), dict(enumerate(kept, 1))
 
 
 @pytest.mark.parametrize("backend,least", [(WL1, 300), (BF, 200)], ids=["wl1", "bf"])
@@ -738,11 +811,11 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, bac
 
     def recording(scope, coloring, partition, comps, stats):
         coded = real(scope, coloring, partition, comps, stats)
-        # the flaps as decompose_flaps builds them: the sequence vertices are
-        # colored base+1.. and the pattern colors start at base + r + 1
+        # the sequence vertices are colored base+1.., and the pattern colors
+        # start at base + r + 1
         seq = sorted(coloring, key=coloring.get)
-        run = separator.SeparatorRun(len(seq), backend, coloring[seq[0]][0] - 1)
-        seen.append((decompose_flaps(scope, seq, 1, run), coded))
+        base = coloring[seq[0]][0] + len(seq)
+        seen.append(([flap_graph(scope, seq, comp, base) for comp in comps], coded))
         return coded
 
     def size(n):
@@ -761,10 +834,10 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, bac
                     pass  # a no-separator scope above the cap; earlier flaps count
     checked = 0
     for flaps, coded in seen:
-        own = [wl1_refine(flap.graph) for flap in flaps]
-        for flap, (classes, _), (_, partition) in zip(flaps, own, coded):
+        own = [wl1_refine(graph) for graph, _ in flaps]
+        for (_, origin), (classes, _), (_, partition) in zip(flaps, own, coded):
             assert partition_of(partition) == partition_of(
-                {flap.origin[u]: c for u, c in classes.items()}
+                {origin[u]: c for u, c in classes.items()}
             )
             checked += 1
         for (a, (ca, _)), (b, (cb, _)) in itertools.combinations(zip(own, coded), 2):
