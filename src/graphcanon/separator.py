@@ -15,9 +15,10 @@ in the first group of invariant.key_groups, its orderings of minimal key
 within its parent scope, from the scope's adjacency and colors and its
 pattern color. A larger flap is a graph.View of the root, whose colors are
 looked up only for the records taken; the separator search and wl1 run on
-it as on the root, in root ids, so no graph is built below the root. Only
-bf, wlk and the minimum-encoding fallback build a view's graph, once,
-renumbered in vertex order, so they code the flap as a graph of its own.
+it as on the root, in root ids, so no graph is built below the root. A view
+keeps the vertex order that renumbering would, so the forms are those of
+flaps built as graphs. Only bf, wlk and the minimum-encoding fallback build
+a view's graph, once, renumbered in vertex order.
 
 Every scope returns its order and a certificate: the chosen sequence's
 record (its vertices' colors and the adjacency among them), then one (flap
