@@ -105,6 +105,16 @@ def _partial_k_tree(n: int, k: int, rng: Lcg64, drop: float) -> ColoredGraph:
     return ColoredGraph(n, kept)
 
 
+def balanced_tree(branching: int, depth: int) -> ColoredGraph:
+    """The rooted tree in which every vertex above depth `depth` has
+    `branching` children, numbered level by level from the root, 1: the
+    children of v are branching*(v-1)+2 .. branching*v+1."""
+    if branching < 1 or depth < 0:
+        raise InvalidGraphError("a balanced tree needs branching >= 1 and depth >= 0")
+    n = sum(branching**i for i in range(depth + 1))
+    return ColoredGraph(n, [(1 + (v - 2) // branching, v) for v in range(2, n + 1)])
+
+
 def _gnp(n: int, p: float, rng: Lcg64) -> ColoredGraph:
     edges = []
     for u in range(1, n + 1):
@@ -165,11 +175,13 @@ def gen_family(
     p: float | None = None,
     name: str | None = None,
     seed: int = 0,
+    depth: int | None = None,
 ) -> ColoredGraph:
     """Deterministic family generator; identical arguments give identical graphs.
 
     Families: tree, cycle, complete, star, k_tree, partial_k_tree, random_gnp,
-    platonic. partial_k_tree deletes each k-tree edge with probability p
+    platonic, balanced_tree (k children per vertex, `depth` levels below the
+    root; see balanced_tree). partial_k_tree deletes each k-tree edge with probability p
     (default 0.25); random_gnp keeps each pair with probability p (default 0.5).
     A p outside [0, 1], or NaN, raises InvalidGraphError.
     """
@@ -198,6 +210,8 @@ def gen_family(
         return _gnp(_need(n, "n"), 0.5 if p is None else p, rng)
     if fam == "platonic":
         return platonic_graph(_need(name, "name"))
+    if fam == "balanced_tree":
+        return balanced_tree(_need(k, "k"), _need(depth, "depth"))
     raise InvalidGraphError(f"unknown family {family!r}")
 
 

@@ -11,9 +11,14 @@ adjacency pattern toward the separator, which recurse, and the flap blocks
 follow in (code, certificate) order. A scope of at most r vertices is its
 own separator and asks no invariant: it takes the ordering of least record
 in the first group of invariant.key_groups, its orderings of minimal key
-(one vertex has one ordering). A flap of at most r vertices is ranked so
-within its parent scope, from the scope's adjacency and colors and its
-pattern color. A larger flap is a graph.View of the root, whose colors are
+(one vertex has one ordering). A larger scope whose stable wl1 partition is
+discrete is a leaf as well, since refinement has already ordered it: its
+order is its vertices by class (McKay & Piperno, arXiv:1301.1493, stop at a
+discrete partition), with no separator search and no invariant, under every
+backend, as its classes are wl1's under all of them. So bf and wlk do not
+refuse a discrete scope above the oracle cap. A flap of at most r vertices
+is ranked within its parent scope, from the scope's adjacency and colors and
+its pattern color. A larger flap is a graph.View of the root, whose colors are
 looked up only for the records taken; the separator search and wl1 run on
 it as on the root, in root ids, so no graph is built below the root. A view
 keeps the vertex order that renumbering would, so the forms are those of
@@ -23,18 +28,26 @@ a view's graph, once, renumbered in vertex order.
 Every scope returns its order and a certificate: the chosen sequence's
 record (its vertices' colors and the adjacency among them), then one (flap
 code, flap certificate) pair per block. A scope of at most r vertices has
-only its record, and a scope ordered by its minimum encoding has that code.
-The scope labeled by its order is a function of its certificate, since flaps
-share no edges and their pattern colors carry their edges to the sequence;
-and isomorphic scopes get equal certificates. So a scope keeps the tried
-candidate of least certificate, and no tie is settled by vertex names: the
-form is canonical whether or not the invariant is complete (Gurevich 1997;
-McKay & Piperno, arXiv:1301.1493). The flap code only has to be an
-isomorphism invariant that orders the blocks, so it comes from wl1 under
-every backend: only the root refines from scratch, and one restart of a
-scope, its chosen sequence individualized, codes all its flaps and hands
-each the stable partition that its own search, keys and candidate codes
-restart from. InvariantBackend.order ranks only candidates that recurse.
+only its record, a discrete leaf its record in class order (each position's
+colors, then the sorted position pairs of its edges), and a scope ordered by
+its minimum encoding has that code. The scope labeled by its order is a
+function of its certificate, since flaps share no edges and their pattern
+colors carry their edges to the sequence; and isomorphic scopes get equal
+certificates. So a scope keeps the tried candidate of least certificate, and
+no tie is settled by vertex names: the form is canonical whether or not the
+invariant is complete (Gurevich 1997; McKay & Piperno, arXiv:1301.1493).
+Certificates of different kinds are never compared: tied candidates all
+branch; flaps are compared only under equal codes, and a flap's code, its
+sorted cells, fixes its size and whether it is discrete; and iso compares
+root certificates only under equal root wl1 codes, which fix the same.
+The flap code only has to be an isomorphism invariant that orders the
+blocks, so it comes from wl1 under every backend: only the root refines from
+scratch, and one restart of a scope, its chosen sequence individualized,
+codes all its flaps and hands each the stable partition that its own search,
+keys and candidate codes restart from. A restart whose individualized
+vertices are all alone in their cells splits nothing, so it is skipped and
+the scope's partition read off instead. InvariantBackend.order ranks only
+candidates that recurse.
 
 Let b be the root graph's largest input color (0 on an uncolored graph) and
 W = 2^r + r. Colors introduced at depth d live in the block
@@ -49,6 +62,7 @@ realized as a rank in a global order and flattened to 1..n at the end.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -210,12 +224,15 @@ def canon_separator(
     InvariantBackend.order over its separating r-sequences of minimal key,
     their vertices' stable wl1 classes in order: the code-minimal ones. Of
     several, the one whose recursion gives the least certificate is kept,
-    with only its diagnostics; a smaller scope needs no backend. Only the
-    root refines.
+    with only its diagnostics. A scope of at most r vertices, or one whose
+    stable wl1 partition is discrete, is a leaf and needs no backend; a
+    discrete one is ordered by its classes. Only the root refines.
 
-    A scope with no separating r-sequence, at any depth, is ordered by its
-    exact minimum encoding instead (with a diagnostic); above the oracle cap
-    that raises OracleCapacityError, so no non-canonical labeling is returned.
+    A scope with no separating r-sequence, at any depth, that is not a leaf
+    is ordered by its exact minimum encoding instead (with a diagnostic);
+    above the oracle cap that raises OracleCapacityError, so no
+    non-canonical labeling is returned. A discrete scope above the cap is
+    never refused, under any backend.
     `workers` is accepted for compatibility and ignored; it only seeds a fresh
     RunStats."""
     stats = stats if stats is not None else RunStats(workers)
@@ -256,9 +273,18 @@ def _code_flaps(scope: ColoredGraph, coloring, partition, comps, stats):
     partition is its own stable partition, and two components are equivalent
     exactly when they fill the same cells: a flap's code is its vertices'
     cells, sorted, and its coloring is the restart limited to it, cells
-    renumbered as ends."""
-    stats.count_invariant()
-    classes, _ = invariant.wl1_refine(scope, fresh=coloring, partition=partition)
+    renumbered as ends.
+
+    When every recolored vertex is alone in its cell, the fresh colors split
+    nothing off and the stable partition is already equitable, so the restart
+    would return `partition` itself: it is read off directly, with no
+    refinement and no invariant call, and the results are the same."""
+    sizes = Counter(partition.values())
+    if all(sizes[partition[v]] == 1 for v in coloring):
+        classes = partition
+    else:
+        stats.count_invariant()
+        classes, _ = invariant.wl1_refine(scope, fresh=coloring, partition=partition)
     out = []
     for comp in comps:
         cells = sorted(classes[v] for v in comp)
@@ -267,14 +293,34 @@ def _code_flaps(scope: ColoredGraph, coloring, partition, comps, stats):
     return out
 
 
+def _discrete_leaf(classes: dict, color_set, neighbors):
+    """The order and certificate of a scope whose stable wl1 coloring
+    `classes` is discrete, its classes 1..n: its vertices in class order, and
+    its record in that order, each position's colors (color_set(v)) as a
+    sorted tuple, then the sorted position pairs of its edges (neighbors(v),
+    all inside the scope). O(n + m log m), where _record's adjacency bits
+    would take quadratic time."""
+    order = [0] * len(classes)
+    for v, c in classes.items():
+        order[c - 1] = v
+    at = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i, v in enumerate(order):
+        edges.extend((i, j) for j in sorted(at[w] for w in neighbors(v)) if j > i)
+    return order, (tuple([tuple(sorted(color_set(v))) for v in order]), tuple(edges))
+
+
 def _rank_scope(scope, depth: int, run: SeparatorRun, stats, partition):
     """The scope's vertices in canonical order, and its certificate (see the
     module docstring). The scope is the root ColoredGraph or a View of it,
     and `partition` is its stable wl1 coloring. A scope of at most r
-    vertices takes its least record (_least_record)."""
+    vertices takes its least record (_least_record), and a larger one whose
+    partition is discrete is a leaf too (_discrete_leaf)."""
     stats.observe_depth(depth)
     if scope.n <= run.r:
         return _least_record(partition, scope.color_set, scope.neighbors)
+    if len(set(partition.values())) == scope.n:
+        return _discrete_leaf(partition, scope.color_set, scope.neighbors)
     base = run.color_base + (depth - 1) * run.block_width
     sequences = mark_separating_sequences(scope, run.r, partition)
     if not sequences:
@@ -343,12 +389,14 @@ def find_isomorphism(
     that differ prove the pair non-isomorphic, and None is returned with
     `stats` untouched (no invariant call, depth or diagnostic). Otherwise
     both roots are ranked as canon_separator ranks them, into an order and a
-    certificate. The root certificate is a complete invariant (see the module
-    docstring), so certificates that differ also give None. Equal ones give
-    the mapping from the two orders, checked edge by edge as a guard against
-    bugs in the canonizer; a failed check is reported as an invariant
-    diagnostic, with None returned. So only a pair that wl1 does not tell
-    apart reaches the minimum-encoding fallback and its OracleCapacityError.
+    certificate. Equal root wl1 codes mean that both roots are discrete, and
+    so both leaves ordered by class, or neither. The root certificate is a
+    complete invariant (see the module docstring), so certificates that
+    differ also give None. Equal ones give the mapping from the two orders,
+    checked edge by edge as a guard against bugs in the canonizer; a failed
+    check is reported as an invariant diagnostic, with None returned. So only
+    a pair that wl1 does not tell apart, and whose roots are not discrete,
+    reaches the minimum-encoding fallback and its OracleCapacityError.
     `workers` is ignored, as in canon_separator.
     """
     stats = stats if stats is not None else RunStats(workers)

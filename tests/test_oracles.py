@@ -231,6 +231,22 @@ class TestGenerators:
         partial = gen_family("partial_k_tree", n=10, k=2, seed=12)
         assert partial.edges <= full.edges
 
+    def test_balanced_tree_order_and_edges(self):
+        # (b^(d+1) - 1) / (b - 1) vertices, one edge fewer; every vertex above
+        # the last level has b children, and the last level holds b^d leaves
+        for b, d in [(1, 0), (1, 4), (2, 0), (2, 3), (3, 4), (4, 3)]:
+            t = gen_family("balanced_tree", k=b, depth=d)
+            n = d + 1 if b == 1 else (b ** (d + 1) - 1) // (b - 1)
+            assert (t.n, len(t.edges)) == (n, n - 1)
+            assert t.is_connected()
+            leaves = [v for v in t.vertices if v > 1 and t.degree(v) == 1]
+            assert len(leaves) == (b**d if d else 0)
+            assert t.degree(1) == (b if d else 0)
+        with pytest.raises(InvalidGraphError):
+            gen_family("balanced_tree", k=2)
+        with pytest.raises(InvalidGraphError):
+            gen_family("balanced_tree", k=0, depth=2)
+
     def test_platonic_cube(self):
         cube = gen_family("platonic", name="cube")
         assert cube.n == 8

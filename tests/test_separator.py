@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -557,8 +558,11 @@ def reference_root_choice(graph, r, backend):
 
 @pytest.mark.parametrize("backend", [BF, WL1], ids=["bf", "wl1"])
 def test_separator_choice_equals_reference_rule(backend):
-    checked = 0
-    for seed in range(12):
+    # a root of more than r vertices whose stable wl1 partition is discrete
+    # is a leaf, labeled in class order; any other root with a separating
+    # r-sequence labels the reference rule's choice first
+    checked = discrete = 0
+    for seed in range(16):
         n = 6 + seed % 4
         for g, r in (
             (gen_family("tree", n=n, seed=seed), 1),
@@ -566,13 +570,18 @@ def test_separator_choice_equals_reference_rule(backend):
             (gen_family("random_gnp", n=n, p=0.35, seed=seed), 2),
             (gen_family("k_tree", n=n, k=2, seed=seed), 3),
         ):
+            lab = canon_separator(g, r, backend)
+            classes, _ = wl1_refine(g)
+            if len(set(classes.values())) == g.n:
+                assert lab == Labeling(classes[v] for v in g.vertices), (seed, r)
+                discrete += 1
+                continue
             if not mark_separating_sequences(g, r):
                 continue
-            lab = canon_separator(g, r, backend)
             chosen = reference_root_choice(g, r, backend)
             assert [lab[v] for v in chosen] == list(range(1, r + 1)), (seed, r)
             checked += 1
-    assert checked >= 40
+    assert checked >= 40 and discrete >= 10
     # roots of at most r vertices, plain and precolored: the chosen ordering
     # is the whole labeling
     small = 0
@@ -743,8 +752,11 @@ def test_one_vertex_leaves_skip_key_groups(monkeypatch):
 
 def test_wl1_ranks_every_flap_as_a_view_and_builds_no_graph(monkeypatch):
     # the recursion reads each flap through the root, and iso checks its
-    # mapping on the two graphs it was given
-    graphs = [(make(), r) for make, r in BENCH_SCOPES]
+    # mapping on the two graphs it was given. Balanced trees stay
+    # non-discrete down to their leaves, so the recursion runs deep
+    graphs = [(gen_family("balanced_tree", k=2, depth=7), 1),
+              (gen_family("balanced_tree", k=3, depth=4), 1),
+              (gen_family("balanced_tree", k=3, depth=4), 2)]
     g = gen_family("partial_k_tree", n=30, k=2, seed=2)
     image = apply_permutation(g, relabelings(g.n, 1, seed=3)[0])
     built = count_graph_builds(monkeypatch)
@@ -822,7 +834,16 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, bac
         return n if backend is WL1 else min(n, 10)
 
     monkeypatch.setattr(separator, "_code_flaps", recording)
-    for seed in range(6):
+    # a scope with a discrete partition codes no flaps, so the inputs are
+    # balanced trees and cycles, which stay non-discrete, and more seeds
+    cases = [(gen_family("balanced_tree", k=b, depth=d), r)
+             for b, d, r in ((2, 2, 1), (3, 1, 1), (2, 3, 1), (3, 2, 1), (3, 2, 2))]
+    cases += [(gen_family("cycle", n=n), 2) for n in (6, 9, 10, 16)]
+    for g, r in cases:
+        if g.n == size(g.n):
+            for h in (g, colored_copy(g, g.n)):
+                canon_separator(h, r, backend)
+    for seed in range(12):
         for g, r in ((gen_family("tree", n=size(20), seed=seed), 1),
                      (gen_family("k_tree", n=size(14), k=2, seed=seed), 3),
                      (gen_family("partial_k_tree", n=size(14), k=2, seed=seed), 3),
@@ -856,6 +877,105 @@ def test_precolored_wl1_forms_invariant_above_oracle_cap():
                 for x in [h] + [apply_permutation(h, lab) for lab in relabelings(h.n, 4, h.n)]
             }
             assert len(forms) == 1
+
+
+def flaps_from_restart(scope, coloring, partition, comps):
+    """_code_flaps by its definition: one full wl1 restart of the recolored
+    scope, and per flap its sorted cells and the restart limited to it, cells
+    renumbered as ends."""
+    classes, _ = wl1_refine(scope, fresh=coloring, partition=partition)
+    out = []
+    for comp in comps:
+        cells = sorted(classes[v] for v in comp)
+        ends = {c: i for i, c in enumerate(cells, 1)}
+        out.append((tuple(cells), {v: ends[classes[v]] for v in comp}))
+    return out
+
+
+def test_restarts_that_split_nothing_are_skipped_with_equal_results(monkeypatch):
+    # when every individualized vertex is alone in its cell, _code_flaps
+    # reads the flaps off the scope's partition: no refinement, no invariant
+    # call, and the same codes and partitions as the full restart
+    calls = []
+    real = separator._code_flaps
+
+    def recording(scope, coloring, partition, comps, stats):
+        calls.append((scope, coloring, partition, comps))
+        return real(scope, coloring, partition, comps, stats)
+
+    monkeypatch.setattr(separator, "_code_flaps", recording)
+    for seed in range(8):
+        for g, r in ((gen_family("tree", n=30, seed=seed), 1),
+                     (gen_family("k_tree", n=20, k=2, seed=seed), 3),
+                     (gen_family("random_gnp", n=12, p=0.3, seed=seed), 2),
+                     (gen_family("balanced_tree", k=2 + seed % 2, depth=3), 1 + seed % 3),
+                     (gen_family("cycle", n=8 + seed), 2)):
+            for h in (g, colored_copy(g, seed)):
+                try:
+                    canon_separator(h, r, WL1)
+                except OracleCapacityError:
+                    pass  # a no-separator scope above the cap; earlier calls count
+    monkeypatch.undo()
+    refine = invariant.wl1_refine
+    skipped = 0
+    for scope, coloring, partition, comps in calls:
+        cells = list(partition.values())
+        alone = all(cells.count(partition[v]) == 1 for v in coloring)
+        stats = RunStats()
+        refined = []
+
+        def recording_refine(*args, **kwargs):
+            refined.append(1)
+            return refine(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(invariant, "wl1_refine", recording_refine)
+            coded = real(scope, coloring, partition, comps, stats)
+        assert coded == flaps_from_restart(scope, coloring, partition, comps)
+        assert stats.invariant_calls == len(refined) == (0 if alone else 1)
+        skipped += alone
+    assert skipped >= 100 and len(calls) - skipped >= 100
+
+
+def assert_relabeled_copy_gets_the_form(g, r, seed):
+    """A relabeled copy of g gets g's form, and find_isomorphism maps g onto it."""
+    h = apply_permutation(g, relabelings(g.n, 1, seed)[0])
+    forms = {cg_dumps(apply_permutation(x, canon_separator(x, r, WL1))) for x in (g, h)}
+    assert len(forms) == 1
+    assert apply_permutation(g, find_isomorphism(g, h, r, WL1)) == h
+
+
+def test_discrete_roots_above_the_oracle_cap_are_not_refused():
+    # a root whose stable wl1 partition is discrete is a leaf, ordered by
+    # its classes, so no separator search reaches a fallback above the cap
+    discrete = 0
+    for n, p, r in ((14, 0.25, 2), (20, 0.3, 3)):
+        for seed in range(1, 41):
+            g = gen_family("random_gnp", n=n, p=p, seed=seed)
+            classes, _ = wl1_refine(g)
+            if len(set(classes.values())) < g.n:
+                continue
+            stats = RunStats()
+            canon_separator(g, r, WL1, stats=stats)
+            assert not stats.had_fallback
+            assert_relabeled_copy_gets_the_form(g, r, seed)
+            discrete += 1
+    assert discrete >= 70
+
+
+def test_bounded_treewidth_classes_canonize_at_logarithmic_depth():
+    # the paper's classes at r = k + 1: trees, 2-trees and 3-trees
+    start = time.perf_counter()
+    for family, n, k, r in (("tree", 500, None, 1), ("k_tree", 120, 2, 3),
+                            ("k_tree", 60, 3, 4)):
+        for seed in (1, 2, 3):
+            g = gen_family(family, n=n, k=k, seed=seed)
+            stats = RunStats()
+            canon_separator(g, r, WL1, stats=stats)
+            assert not stats.had_fallback
+            assert stats.max_depth <= math.ceil(math.log2(n / r)) + 1
+            assert_relabeled_copy_gets_the_form(g, r, seed)
+    assert time.perf_counter() - start < 10
 
 
 class TestFindIsomorphism:
@@ -1031,8 +1151,12 @@ def test_backend_ranks_only_scopes_above_r(monkeypatch, base):
         return real(classes, *args)
 
     monkeypatch.setattr(separator, "_least_record", recording)
-    cases = [(gen_family("tree", n=10, seed=s), r) for s in range(4) for r in (1, 2, 3)]
-    cases += [(gen_family("partial_k_tree", n=10, k=2, seed=s), 3) for s in range(4)]
+    # inputs that stay non-discrete, so their scopes above r are not leaves,
+    # and whose flaps of at most r vertices take their least record
+    cases = [(gen_family("balanced_tree", k=b, depth=d), r)
+             for b, d in ((2, 2), (3, 1), (4, 1)) for r in (1, 2, 3)]
+    cases += [(gen_family("cycle", n=n), 3) for n in range(5, 11)]
+    cases += [(gen_family("cycle", n=n), 2) for n in (5, 6, 7)]
     for g, r in cases:
         asked.clear()
         leaves.clear()
