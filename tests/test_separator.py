@@ -840,7 +840,7 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, bac
              for b, d, r in ((2, 2, 1), (3, 1, 1), (2, 3, 1), (3, 2, 1), (3, 2, 2))]
     cases += [(gen_family("cycle", n=n), 2) for n in (6, 9, 10, 16)]
     for g, r in cases:
-        if g.n == size(g.n):
+        if g.n == size(g.n):  # within the bf cap
             for h in (g, colored_copy(g, g.n)):
                 canon_separator(h, r, backend)
     for seed in range(12):
