@@ -41,7 +41,6 @@ from .invariant import (
     wlk_refine,
 )
 from .separator import (
-    Flap,
     SeparatorRun,
     canon_separator,
     decompose_flaps,
@@ -103,7 +102,6 @@ __all__ = [
     "FacialWalk",
     "FixingCandidate",
     "FixingTripleReport",
-    "Flap",
     "FormatError",
     "GraphCanonError",
     "InvalidGraphError",

@@ -8,22 +8,21 @@ least key. InvariantBackend.order codes them by their individualized
 colorings, and the scope tries its first tie class, those of minimal code.
 Each tried candidate goes first; the rest splits into flaps colored by their
 adjacency pattern toward the separator, which recurse, and the flap blocks
-follow in (code, certificate) order. A scope of at most r vertices is its
-own separator and asks no invariant: it takes the ordering of least record
-in the first group of invariant.key_groups, its orderings of minimal key
+follow in (code, certificate) order. Every flap is a graph.View of the
+root (decompose_flaps), whose colors are looked up only for the records
+taken; the separator search and wl1 run on it as on the root, in root ids,
+so no graph is built below the root. A view keeps the vertex order that
+renumbering would, so the forms are those of flaps built as graphs. Only
+bf, wlk and the minimum-encoding fallback build a view's graph, once,
+renumbered in vertex order. A scope of at most r vertices is its own
+separator and asks no invariant: of its orderings of minimal key, its
+vertices' classes in nondecreasing order, it takes the one of least record
 (one vertex has one ordering). A larger scope whose stable wl1 partition is
 discrete is a leaf as well, since refinement has already ordered it: its
 order is its vertices by class (McKay & Piperno, arXiv:1301.1493, stop at a
 discrete partition), with no separator search and no invariant, under every
 backend, as its classes are wl1's under all of them. So bf and wlk do not
-refuse a discrete scope above the oracle cap. A flap of at most r vertices
-is ranked within its parent scope, from the scope's adjacency and colors and
-its pattern color. A larger flap is a graph.View of the root, whose colors are
-looked up only for the records taken; the separator search and wl1 run on
-it as on the root, in root ids, so no graph is built below the root. A view
-keeps the vertex order that renumbering would, so the forms are those of
-flaps built as graphs. Only bf, wlk and the minimum-encoding fallback build
-a view's graph, once, renumbered in vertex order.
+refuse a discrete scope above the oracle cap.
 
 Every scope returns its order and a certificate: the chosen sequence's
 record (its vertices' colors and the adjacency among them), then one (flap
@@ -92,30 +91,15 @@ class SeparatorRun:
         return 2**self.r + self.r
 
 
-@dataclass(frozen=True)
-class Flap:
-    """One component of scope-minus-separator, colored by its adjacency pattern."""
-
-    graph: ColoredGraph
-    origin: dict  # flap vertex -> vertex of the parent scope
-
-
-def _split(graph: ColoredGraph, vertex_set):
-    """The components of G minus the set, and whether each has at most n/2
-    vertices (exactly: 2*size <= n, n the order of this graph)."""
-    xs = set(vertex_set)
-    if not all(v in graph._adj for v in xs):
-        raise ContractViolationError("separator candidates must be vertices of the graph")
-    comps = graph.components(xs)
-    return comps, all(2 * len(comp) <= graph.n for comp in comps)
-
-
 def is_separator(graph: ColoredGraph, vertex_set) -> bool:
     """True when every component of G minus the set has at most n/2 vertices.
 
     n is the order of this graph; the comparison is exact (2*size <= n).
     """
-    return _split(graph, vertex_set)[1]
+    xs = set(vertex_set)
+    if not all(v in graph._adj for v in xs):
+        raise ContractViolationError("separator candidates must be vertices of the graph")
+    return all(2 * len(comp) <= graph.n for comp in graph.components(xs))
 
 
 def mark_separating_sequences(graph: ColoredGraph, r: int, classes=None):
@@ -178,37 +162,34 @@ def _heads_by_class(ranked, classes, k: int):
             yield sum(parts, ()), prefix
 
 
-def decompose_flaps(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun):
-    """One flap per component of scope-minus-separator.
+def decompose_flaps(scope, sequence, depth: int, run: SeparatorRun) -> list:
+    """One flap per component of scope-minus-separator, as a graph.View of
+    the root, ordered by smallest vertex. The scope is the root ColoredGraph
+    or a View of it.
 
     Each flap vertex gains the pattern color
     b + (d-1)*W + r + 1 + sum of 2^(i-1) over the sequence positions i it is
-    adjacent to, on top of its inherited colors; the bits come from the
-    sequence vertices' neighbor sets. Each flap is built once, by
-    induced_subgraph from the scope's adjacency. Flaps are renumbered 1..t and
-    keep their origin maps; they are ordered by smallest original vertex.
+    adjacent to, on top of its inherited colors: the view's layer (c, bits),
+    with bits read off the sequence vertices' neighbor sets. No graph is
+    built; flap.with_extra_colors({}) builds one, renumbered 1..t in the
+    order of flap.vertices. Repeated or foreign sequence vertices, and a
+    sequence that is not a separator (see is_separator), raise
+    ContractViolationError.
     """
-    comps, (c, bits) = _flap_parts(graph, sequence, depth, run)
-    pattern = {v: [c + bits.get(v, 0)] for v in graph.vertices}
-    return [Flap(*graph.induced_subgraph(comp, pattern)) for comp in comps]
-
-
-def _flap_parts(graph: ColoredGraph, sequence, depth: int, run: SeparatorRun):
-    """The components of scope-minus-separator, ordered by smallest vertex,
-    and the pattern colors (decompose_flaps) as a layer (c, bits): vertex v
-    has color c + bits.get(v, 0), and bits lists exactly the vertices
-    adjacent to the sequence."""
     sequence = tuple(sequence)
     if len(set(sequence)) != len(sequence):
         raise ContractViolationError("separator sequence has repeated vertices")
-    comps, balanced = _split(graph, sequence)
-    if not balanced:
+    if not all(v in scope._adj for v in sequence):
+        raise ContractViolationError("separator candidates must be vertices of the graph")
+    comps = scope.components(sequence)
+    if any(2 * len(comp) > scope.n for comp in comps):
         raise ContractViolationError("sequence is not a separator of this scope")
     bits: dict = {}
     for i, s in enumerate(sequence):
-        for v in graph.neighbors(s):
+        for v in scope.neighbors(s):
             bits[v] = bits.get(v, 0) | 1 << i
-    return comps, (run.color_base + (depth - 1) * run.block_width + run.r + 1, bits)
+    layer = (run.color_base + (depth - 1) * run.block_width + run.r + 1, bits)
+    return [View(scope, comp, sequence, layer) for comp in comps]
 
 
 def canon_separator(
@@ -255,15 +236,21 @@ def _record(sequence, color_set, neighbors) -> tuple:
 
 def _least_record(classes: dict, color_set, neighbors):
     """The order of a scope of at most r vertices, its own separator, and its
-    certificate: of the orderings in the first key group of `classes`, its
-    stable wl1 coloring, the one of least record (see _record), which asks
-    no invariant, since orderings of equal record differ by an automorphism."""
+    certificate: of its orderings of minimal key under `classes`, its stable
+    wl1 coloring, the one of least record (see _record), which asks no
+    invariant, since orderings of equal record differ by an automorphism.
+    Those orderings, in lexicographic order, are the product of every
+    ordering of each class's vertices, taken in (class, vertex) order."""
     if len(classes) == 1:
         (v,) = classes
         return [v], (((tuple(sorted(color_set(v))),), 0),)
-    orderings = next(invariant.key_groups(classes, len(classes)))
-    ranked = ((list(seq), (_record(seq, color_set, neighbors),)) for seq in orderings)
-    return min(ranked, key=itemgetter(1))
+    ranked = sorted(classes, key=lambda v: (classes[v], v))
+    runs = [itertools.permutations(run) for _, run in itertools.groupby(ranked, classes.get)]
+    orderings = (sum(parts, ()) for parts in itertools.product(*runs))
+    return min(
+        ((list(seq), (_record(seq, color_set, neighbors),)) for seq in orderings),
+        key=itemgetter(1),
+    )
 
 
 def _code_flaps(scope: ColoredGraph, coloring, partition, comps, stats):
@@ -313,9 +300,10 @@ def _discrete_leaf(classes: dict, color_set, neighbors):
 def _rank_scope(scope, depth: int, run: SeparatorRun, stats, partition):
     """The scope's vertices in canonical order, and its certificate (see the
     module docstring). The scope is the root ColoredGraph or a View of it,
-    and `partition` is its stable wl1 coloring. A scope of at most r
-    vertices takes its least record (_least_record), and a larger one whose
-    partition is discrete is a leaf too (_discrete_leaf)."""
+    every flap of every size included, and `partition` is its stable wl1
+    coloring. A scope of at most r vertices takes its least record
+    (_least_record), and a larger one whose partition is discrete is a leaf
+    too (_discrete_leaf); any other ranks its flaps at depth + 1."""
     stats.observe_depth(depth)
     if scope.n <= run.r:
         return _least_record(partition, scope.color_set, scope.neighbors)
@@ -337,28 +325,22 @@ def _rank_scope(scope, depth: int, run: SeparatorRun, stats, partition):
 
     def branch(chosen):
         """The certificate of `chosen`, its flaps' orders in block order, and
-        the diagnostics its recursion made, taken out of stats. A flap of at
-        most r vertices is ranked within the scope, and a larger one as a
-        View of the root: no graph is built."""
+        the diagnostics its recursion made, taken out of stats. Every flap is
+        a View of the root (decompose_flaps), ranked as a scope of its own:
+        no graph is built."""
         mark = len(stats.diagnostics)
-        comps, (c, bits) = _flap_parts(scope, chosen, depth, run)
+        flaps = decompose_flaps(scope, chosen, depth, run)
+        comps = [flap.vertices for flap in flaps]
         coded = _code_flaps(scope, _individualized(chosen, base), partition, comps, stats)
-        stats.observe_depth(depth + 1)
 
-        def rank_flap(i: int):
+        def rank_flap(item):
             """The flap's code and certificate, and its order in the scope."""
-            comp, (code, classes) = comps[i], coded[i]
-            if len(comp) <= run.r:
-                order, cert = _least_record(
-                    classes, lambda v: scope.color_set(v) | {c + bits.get(v, 0)}, scope.neighbors
-                )
-            else:
-                flap = View(scope, comp, chosen, (c, bits))
-                order, cert = _rank_scope(flap, depth + 1, run, stats, classes)
+            flap, (code, classes) = item
+            order, cert = _rank_scope(flap, depth + 1, run, stats, classes)
             return (code, cert), order
 
         # in block order; the sort is stable, so equal keys keep flap order
-        ranked = sorted(parallel_map(rank_flap, range(len(comps))), key=itemgetter(0))
+        ranked = sorted(parallel_map(rank_flap, zip(flaps, coded)), key=itemgetter(0))
         certificate = (_record(chosen, scope.color_set, scope.neighbors), *(k for k, _ in ranked))
         found = stats.diagnostics[mark:]
         del stats.diagnostics[mark:]

@@ -7,6 +7,7 @@ from graphcanon import (
     ContractViolationError,
     InvalidGraphError,
     Labeling,
+    Lcg64,
     OracleCapacityError,
     apply_permutation,
     are_isomorphic_bf,
@@ -157,7 +158,7 @@ class TestCanonRigidity:
         assert canon_rigidity(c4, 2, BF, workers=1) == canon_rigidity(c4, 2, BF, workers=4)
 
     def test_label_invariance_random_corpus(self):
-        from graphcanon import Lcg64, rigidity_index
+        from graphcanon import rigidity_index
 
         done = 0
         for seed in range(40):
@@ -358,3 +359,51 @@ class TestConsistencyCheck:
         for seed in (5, 6):
             g = gen_family("random_gnp", n=7, p=0.4, seed=seed)
             assert rigidity_consistency_check(g, 3).ok
+
+
+def prism(m: int) -> ColoredGraph:
+    """Two m-cycles 1..m and m+1..2m, joined by the rungs {i, m+i}."""
+    ring = [(i, i % m + 1) for i in range(1, m + 1)]
+    return ColoredGraph(2 * m, ring + [(u + m, v + m) for u, v in ring]
+                        + [(i, m + i) for i in range(1, m + 1)])
+
+
+def antiprism(m: int) -> ColoredGraph:
+    """Two m-cycles 1..m and m+1..2m, with i joined to m+i and to m+(i mod m)+1."""
+    ring = [(i, i % m + 1) for i in range(1, m + 1)]
+    return ColoredGraph(2 * m, ring + [(u + m, v + m) for u, v in ring]
+                        + [(i, m + i) for i in range(1, m + 1)]
+                        + [(i, m + i % m + 1) for i in range(1, m + 1)])
+
+
+def stacked_triangulation(n: int, seed: int) -> ColoredGraph:
+    """K4, then each vertex 5..n inserted into a face drawn by Lcg64(seed) and
+    joined to its three corners: a 3-connected planar graph of treewidth 3."""
+    rng = Lcg64(seed)
+    edges = list(itertools.combinations(range(1, 5), 2))
+    faces = list(itertools.combinations(range(1, 5), 3))
+    for v in range(5, n + 1):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return ColoredGraph(n, edges)
+
+
+def test_polyhedral_graphs_have_a_fixing_triple_under_wl1():
+    # the paper's embedded class has bounded rigidity index: canon_rigidity
+    # (wl1, r=3) finds a fixing sequence, above the oracle cap too, and a
+    # relabeled copy gets the same form
+    wl1 = Wl1Backend()
+    graphs = [gen_family("platonic", name=name) for name in ("k4", "cube", "octahedron")]
+    graphs += [make(m) for make in (prism, antiprism) for m in range(3, 9)]
+    graphs += [stacked_triangulation(60, seed) for seed in (1, 2, 3)]
+    for i, g in enumerate(graphs):
+        rng = Lcg64(i)
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)
+        forms = []
+        for h in (g, apply_permutation(g, Labeling(perm))):
+            stats = RunStats()
+            forms.append(encode(apply_permutation(h, canon_rigidity(h, 3, wl1, stats=stats))))
+            assert not stats.had_fallback
+        assert forms[0] == forms[1]

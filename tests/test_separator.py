@@ -25,6 +25,7 @@ from graphcanon import (
     wl1_refine,
 )
 from graphcanon import invariant, separator
+from graphcanon.graph import View
 from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
 from graphcanon.parallel import FALLBACK, INVARIANT_FAILURE, Diagnostic, RunStats
 from graphcanon.separator import SeparatorRun
@@ -62,7 +63,7 @@ def relabelings(n, count, seed):
 def flaps_by_two_step_induction(graph, sequence, depth, run):
     """Reference flaps: induce the rest of the scope, split it into components,
     induce each component again from the scope, and add the pattern colors."""
-    base = (depth - 1) * run.block_width + run.r + 1
+    base = run.color_base + (depth - 1) * run.block_width + run.r + 1
     rest = [v for v in graph.vertices if v not in sequence]
     sub, sub_origin = graph.induced_subgraph(rest)
     flaps = []
@@ -192,10 +193,10 @@ class TestDecomposeFlaps:
         flaps = decompose_flaps(p3, (2,), 1, run)
         assert len(flaps) == 2
         for flap in flaps:
-            assert flap.graph.n == 1
-            assert flap.graph.color_set(1) == frozenset({3})
-        assert flaps[0].origin == {1: 1}
-        assert flaps[1].origin == {1: 3}
+            assert flap.with_extra_colors({}).n == 1
+            assert flap.with_extra_colors({}).color_set(1) == frozenset({3})
+        assert flaps[0].vertices == [1]
+        assert flaps[1].vertices == [3]
 
     def test_pattern_color_range_r2(self):
         # r=2 gives block width 6: vertex adjacent to neither separator vertex
@@ -203,16 +204,16 @@ class TestDecomposeFlaps:
         g = ColoredGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
         run = SeparatorRun(2, BF)
         (flap,) = decompose_flaps(g, (1, 2), 1, run)
-        assert flap.origin == {1: 3, 2: 4}
-        assert flap.graph.color_set(1) == frozenset({6})  # adjacent to both
-        assert flap.graph.color_set(2) == frozenset({3})  # adjacent to neither
+        assert flap.vertices == [3, 4]
+        assert flap.with_extra_colors({}).color_set(1) == frozenset({6})  # adjacent to both
+        assert flap.with_extra_colors({}).color_set(2) == frozenset({3})  # adjacent to neither
 
     def test_star_center_gives_four_flaps(self):
         star = gen_family("star", n=5)
         run = SeparatorRun(1, BF)
         flaps = decompose_flaps(star, (1,), 1, run)
         assert len(flaps) == 4
-        assert all(flap.graph.n == 1 for flap in flaps)
+        assert all(flap.with_extra_colors({}).n == 1 for flap in flaps)
 
     def test_rejects_non_separator(self, p3):
         run = SeparatorRun(1, BF)
@@ -245,8 +246,9 @@ class TestDecomposeFlaps:
             low, high = (depth - 1) * 11 + 3, depth * 11
             flaps = decompose_flaps(g, seq, depth, run)
             for flap in flaps:
-                for v in flap.graph.vertices:
-                    fresh = flap.graph.color_set(v) - inherited[flap.origin[v]]
+                graph = flap.with_extra_colors({})
+                for v in graph.vertices:
+                    fresh = graph.color_set(v) - inherited[flap.vertices[v - 1]]
                     assert len(fresh) == 1
                     (pattern,) = fresh
                     assert low < pattern <= high
@@ -272,16 +274,20 @@ class TestDecomposeFlaps:
                     for depth in (1, 2):
                         flaps = decompose_flaps(g, seq, depth, run)
                         expected = flaps_by_two_step_induction(g, seq, depth, run)
-                        assert [(f.graph, f.origin) for f in flaps] == expected
+                        built = [(f.with_extra_colors({}), dict(enumerate(f.vertices, 1)))
+                                 for f in flaps]
+                        assert built == expected
 
-    def test_one_graph_built_per_flap_and_none_to_test_separators(self, monkeypatch):
+    def test_decompose_flaps_builds_no_graph(self, monkeypatch):
+        # the flaps are views of the root; neither the separator search nor
+        # the decomposition builds a graph
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
         run = SeparatorRun(2, BF)
         built = count_graph_builds(monkeypatch)
         sequences = mark_separating_sequences(g, 2)
         assert sequences and not built
         flaps = decompose_flaps(g, sequences[0], 1, run)
-        assert len(built) == len(flaps)
+        assert flaps and not built
 
     def test_each_flap_colored_once(self, monkeypatch):
         # each flap takes its colors from the scope, whose colors were
@@ -308,7 +314,7 @@ class TestDecomposeFlaps:
             flaps = decompose_flaps(g, seq, 1, run)
             covered = set(seq)
             for flap in flaps:
-                originals = set(flap.origin.values())
+                originals = set(flap.vertices)
                 assert not originals & covered
                 covered |= originals
             assert covered == set(g.vertices)
@@ -735,19 +741,25 @@ def test_each_scope_refined_from_scratch_at_most_once(monkeypatch, backend):
     assert {1, 2, 3} <= sizes
 
 
-def test_one_vertex_leaves_skip_key_groups(monkeypatch):
-    # a leaf of one vertex has one ordering, so its record is taken directly
-    sizes = []
-    real = invariant.key_groups
+def test_separator_recursion_never_calls_key_groups(monkeypatch):
+    # a leaf of at most r vertices lists its orderings of least key itself,
+    # so only rigidity draws key groups; leaves of several vertices occur
+    sizes, leaves = [], []
+    real, real_leaf = invariant.key_groups, separator._least_record
 
     def recording(partition, r):
         sizes.append(len(partition))
         return real(partition, r)
 
+    def recording_leaf(classes, *args):
+        leaves.append(len(classes))
+        return real_leaf(classes, *args)
+
     monkeypatch.setattr(invariant, "key_groups", recording)
+    monkeypatch.setattr(separator, "_least_record", recording_leaf)
     for make, r in BENCH_SCOPES:
         canon_separator(make(), r, WL1)
-    assert sizes and 1 not in sizes
+    assert sizes == [] and max(leaves) > 1
 
 
 def test_wl1_ranks_every_flap_as_a_view_and_builds_no_graph(monkeypatch):
@@ -866,6 +878,82 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, bac
     assert checked > least
 
 
+@pytest.mark.parametrize("backend,least", [(WL1, 80), (BF, 20), (WLK2, 20)],
+                         ids=["wl1", "bf", "wlk2"])
+def test_flaps_of_every_ranked_scope_match_two_step_induction(monkeypatch, backend, least):
+    # every scope the recursion decomposes, the root and its views: each
+    # flap, built, equals the reference flap of the scope's own graph, and
+    # a flap of at most r vertices gets from _rank_scope what the rule that
+    # ranked it inside its parent gives, its least record under the
+    # parent's colors plus its pattern color
+    decomposed, ranked = [], {}
+    real, real_rank = separator.decompose_flaps, separator._rank_scope
+
+    def recording(scope, sequence, depth, run):
+        flaps = real(scope, sequence, depth, run)
+        decomposed.append((scope, sequence, depth, run, flaps))
+        return flaps
+
+    def recording_rank(scope, depth, run, stats, partition):
+        ranked[scope] = partition, real_rank(scope, depth, run, stats, partition)
+        return ranked[scope][1]
+
+    def size(n):
+        return n if backend is WL1 else min(n, 10)
+
+    monkeypatch.setattr(separator, "decompose_flaps", recording)
+    monkeypatch.setattr(separator, "_rank_scope", recording_rank)
+    cases = [(gen_family("balanced_tree", k=b, depth=d), r)
+             for b, d, r in ((2, 2, 1), (3, 1, 1), (2, 3, 2), (3, 2, 3))]
+    cases += [(gen_family("cycle", n=n), 2) for n in (6, 9, 10, 16)]
+    for seed in range(12):
+        cases += [(gen_family("tree", n=size(20), seed=seed), 1),
+                  (gen_family("k_tree", n=size(14), k=2, seed=seed), 3),
+                  (gen_family("partial_k_tree", n=size(14), k=2, seed=seed), 2 + seed % 2),
+                  (gen_family("random_gnp", n=size(12), p=0.3, seed=seed), 2)]
+    for g, r in cases:
+        if g.n == size(g.n):  # within the bf cap
+            for h in (g, colored_copy(g, g.n + r)):
+                try:
+                    canon_separator(h, r, backend)
+                except OracleCapacityError:
+                    pass  # a no-separator scope above the cap; earlier flaps count
+    monkeypatch.undo()
+    views = small = 0
+    for scope, sequence, depth, run, flaps in decomposed:
+        graph = scope.with_extra_colors({})
+        local = {v: i for i, v in enumerate(scope.vertices, 1)}
+        built = [(f.with_extra_colors({}), {i: local[v] for i, v in enumerate(f.vertices, 1)})
+                 for f in flaps]
+        assert built == flaps_by_two_step_induction(graph, [local[v] for v in sequence], depth, run)
+        views += isinstance(scope, View)
+        for flap in flaps:
+            if flap.n <= run.r:
+                c, bits = flap.layers[-1]
+                partition, got = ranked[flap]
+                assert got == separator._least_record(
+                    partition, lambda v: scope.color_set(v) | {c + bits.get(v, 0)}, scope.neighbors
+                )
+                small += 1
+    assert views > least and small > least
+
+
+def test_least_record_lists_the_first_key_group_in_order():
+    # a leaf's orderings are those of the first group of key_groups, in the
+    # same order: with every record equal the first is kept, and otherwise
+    # the least record is that of key_groups' group
+    for g in every_labeled_graph(4):
+        colored = colored_copy(g, g.n + len(g.edges))
+        for classes in ({v: 1 + v % 2 for v in g.vertices}, wl1_refine(g)[0]):
+            first = next(invariant.key_groups(classes, len(classes)))
+            blank = separator._least_record(classes, lambda v: frozenset(), lambda v: ())
+            assert blank[0] == list(first[0])
+            records = [(list(seq), (separator._record(seq, colored.color_set, colored.neighbors),))
+                       for seq in first]
+            assert separator._least_record(classes, colored.color_set, colored.neighbors) == min(
+                records, key=lambda item: item[1])
+
+
 def test_precolored_wl1_forms_invariant_above_oracle_cap():
     for g, r in ((gen_family("tree", n=30, seed=5), 1),
                  (gen_family("tree", n=60, seed=6), 1),
@@ -964,10 +1052,12 @@ def test_discrete_roots_above_the_oracle_cap_are_not_refused():
 
 
 def test_bounded_treewidth_classes_canonize_at_logarithmic_depth():
-    # the paper's classes at r = k + 1: trees, 2-trees and 3-trees
+    # the paper's classes at r = k + 1: trees, 2-trees, 3-trees and partial
+    # 2- and 3-trees
     start = time.perf_counter()
     for family, n, k, r in (("tree", 500, None, 1), ("k_tree", 120, 2, 3),
-                            ("k_tree", 60, 3, 4)):
+                            ("k_tree", 60, 3, 4), ("partial_k_tree", 120, 2, 3),
+                            ("partial_k_tree", 60, 3, 4)):
         for seed in (1, 2, 3):
             g = gen_family(family, n=n, k=k, seed=seed)
             stats = RunStats()
