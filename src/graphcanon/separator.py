@@ -17,17 +17,24 @@ bf, wlk and the minimum-encoding fallback build a view's graph, once,
 renumbered in vertex order. A scope of at most r vertices is its own
 separator and asks no invariant: of its orderings of minimal key, its
 vertices' classes in nondecreasing order, it takes the one of least record
-(one vertex has one ordering). A larger scope whose stable wl1 partition is
-discrete is a leaf as well, since refinement has already ordered it: its
-order is its vertices by class (McKay & Piperno, arXiv:1301.1493, stop at a
-discrete partition), with no separator search and no invariant, under every
-backend, as its classes are wl1's under all of them. So bf and wlk do not
-refuse a discrete scope above the oracle cap.
+(one vertex has one ordering). A larger scope whose every stable wl1 class
+is a twin class, pairwise non-adjacent with equal neighbor sets or pairwise
+adjacent with equal closed neighbor sets, is a leaf as well: its order is its
+vertices by (class, vertex), with no separator search and no invariant, under
+every backend, as its classes are wl1's under all of them. A discrete
+partition is the case of one vertex per class (McKay & Piperno,
+arXiv:1301.1493, stop at a discrete partition). The order is canonical
+because every cell is constant on the root colors, which the root refine
+splits off, and on each pattern layer, since the enclosing separators'
+vertices are singleton cells of the partition handed down. So twins have
+equal colors and equal edges to every enclosing separator, and any
+permutation inside a twin class is an automorphism of the colored scope.
+Neither bf nor wlk refuses such a scope above the oracle cap.
 
 Every scope returns its order and a certificate: the chosen sequence's
 record (its vertices' colors and the adjacency among them), then one (flap
 code, flap certificate) pair per block. A scope of at most r vertices has
-only its record, a discrete leaf its record in class order (each position's
+only its record, a twin-class leaf its record in its order (each position's
 colors, then the sorted position pairs of its edges), and a scope ordered by
 its minimum encoding has that code. The scope labeled by its order is a
 function of its certificate, since flaps share no edges and their pattern
@@ -36,9 +43,12 @@ certificates. So a scope keeps the tried candidate of least certificate, and
 no tie is settled by vertex names: the form is canonical whether or not the
 invariant is complete (Gurevich 1997; McKay & Piperno, arXiv:1301.1493).
 Certificates of different kinds are never compared: tied candidates all
-branch; flaps are compared only under equal codes, and a flap's code, its
-sorted cells, fixes its size and whether it is discrete; and iso compares
-root certificates only under equal root wl1 codes, which fix the same.
+branch; flaps are compared only under equal codes, and two flaps of equal
+code fill the same cells of one equitable partition, so they have equal
+sizes, and a flap has only twin classes exactly when each of its cells has
+no edges or all possible edges to each cell, itself included, which the
+other then has too; and iso compares root certificates only under equal root
+wl1 codes, which fix the same.
 The flap code only has to be an isomorphism invariant that orders the
 blocks, so it comes from wl1 under every backend: only the root refines from
 scratch, and one restart of a scope, its chosen sequence individualized,
@@ -206,14 +216,15 @@ def canon_separator(
     their vertices' stable wl1 classes in order: the code-minimal ones. Of
     several, the one whose recursion gives the least certificate is kept,
     with only its diagnostics. A scope of at most r vertices, or one whose
-    stable wl1 partition is discrete, is a leaf and needs no backend; a
-    discrete one is ordered by its classes. Only the root refines.
+    every stable wl1 class is a twin class, is a leaf and needs no backend;
+    the latter is ordered by (class, vertex). Only the root refines.
 
     A scope with no separating r-sequence, at any depth, that is not a leaf
     is ordered by its exact minimum encoding instead (with a diagnostic);
     above the oracle cap that raises OracleCapacityError, so no
-    non-canonical labeling is returned. A discrete scope above the cap is
-    never refused, under any backend.
+    non-canonical labeling is returned. A scope of twin classes above the
+    cap is never refused, under any backend: a refusal needs a cell that is
+    not a twin class.
     `workers` is accepted for compatibility and ignored; it only seeds a fresh
     RunStats."""
     stats = stats if stats is not None else RunStats(workers)
@@ -280,16 +291,23 @@ def _code_flaps(scope: ColoredGraph, coloring, partition, comps, stats):
     return out
 
 
-def _discrete_leaf(classes: dict, color_set, neighbors):
-    """The order and certificate of a scope whose stable wl1 coloring
-    `classes` is discrete, its classes 1..n: its vertices in class order, and
-    its record in that order, each position's colors (color_set(v)) as a
-    sorted tuple, then the sorted position pairs of its edges (neighbors(v),
-    all inside the scope). O(n + m log m), where _record's adjacency bits
-    would take quadratic time."""
-    order = [0] * len(classes)
-    for v, c in classes.items():
-        order[c - 1] = v
+def _class_leaf(classes: dict, color_set, neighbors):
+    """The order and certificate of a scope whose stable wl1 cells (classes)
+    are all twin classes, or None when one is not. A twin class is pairwise
+    non-adjacent with equal neighbor sets, or pairwise adjacent with equal
+    closed neighbor sets; the two kinds cannot mix in one class, so checking
+    consecutive vertices suffices. The order is the vertices by (class,
+    vertex), and the certificate the record in that order: each position's
+    colors (color_set(v)) as a sorted tuple, then the sorted position pairs
+    of its edges (neighbors(v), all inside the scope). O(n log n + m log m),
+    where _record's adjacency bits would take quadratic time."""
+    ranked = sorted([(c, v) for v, c in classes.items()])
+    for (c, u), (d, v) in zip(ranked, ranked[1:]):
+        if c == d:  # open twins share N(u); closed ones are adjacent and share N[u]
+            nu, nv = neighbors(u), neighbors(v)
+            if nu != nv and (v not in nu or nu - {v} != nv - {u}):
+                return None
+    order = [v for _, v in ranked]
     at = {v: i for i, v in enumerate(order)}
     edges = []
     for i, v in enumerate(order):
@@ -302,13 +320,14 @@ def _rank_scope(scope, depth: int, run: SeparatorRun, stats, partition):
     module docstring). The scope is the root ColoredGraph or a View of it,
     every flap of every size included, and `partition` is its stable wl1
     coloring. A scope of at most r vertices takes its least record
-    (_least_record), and a larger one whose partition is discrete is a leaf
-    too (_discrete_leaf); any other ranks its flaps at depth + 1."""
+    (_least_record), and a larger one whose every cell is a twin class is a
+    leaf too (_class_leaf); any other ranks its flaps at depth + 1."""
     stats.observe_depth(depth)
     if scope.n <= run.r:
         return _least_record(partition, scope.color_set, scope.neighbors)
-    if len(set(partition.values())) == scope.n:
-        return _discrete_leaf(partition, scope.color_set, scope.neighbors)
+    leaf = _class_leaf(partition, scope.color_set, scope.neighbors)
+    if leaf is not None:
+        return leaf
     base = run.color_base + (depth - 1) * run.block_width
     sequences = mark_separating_sequences(scope, run.r, partition)
     if not sequences:
@@ -371,14 +390,15 @@ def find_isomorphism(
     that differ prove the pair non-isomorphic, and None is returned with
     `stats` untouched (no invariant call, depth or diagnostic). Otherwise
     both roots are ranked as canon_separator ranks them, into an order and a
-    certificate. Equal root wl1 codes mean that both roots are discrete, and
-    so both leaves ordered by class, or neither. The root certificate is a
+    certificate. Equal root wl1 codes mean that both roots have only twin
+    classes, and so are both leaves, or neither. The root certificate is a
     complete invariant (see the module docstring), so certificates that
     differ also give None. Equal ones give the mapping from the two orders,
     checked edge by edge as a guard against bugs in the canonizer; a failed
     check is reported as an invariant diagnostic, with None returned. So only
-    a pair that wl1 does not tell apart, and whose roots are not discrete,
-    reaches the minimum-encoding fallback and its OracleCapacityError.
+    a pair that wl1 does not tell apart, and whose roots have a cell that is
+    not a twin class, reaches the minimum-encoding fallback and its
+    OracleCapacityError.
     `workers` is ignored, as in canon_separator.
     """
     stats = stats if stats is not None else RunStats(workers)

@@ -16,7 +16,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # invariant calls of one seed-1 round: a change in the work per operation
 # shows here, not only in the benchmark
-INVARIANT_CALLS = {"sep-wl1": 0, "rig-wl1": 36, "iso-bf": 30}
+INVARIANT_CALLS = {"sep-wl1": 0, "rig-wl1": 36, "iso-bf": 24}
 
 
 @pytest.mark.parametrize("name", ["sep-wl1", "rig-wl1", "iso-bf"])

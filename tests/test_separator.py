@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from graphcanon import (
     mark_separating_sequences,
     wl1_refine,
 )
-from graphcanon import invariant, separator
+from graphcanon import invariant, mincode, separator
 from graphcanon.graph import View
 from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
 from graphcanon.parallel import FALLBACK, INVARIANT_FAILURE, Diagnostic, RunStats
@@ -121,6 +122,58 @@ def separating_sequences_by_definition(g, r):
         if is_separator(g, combo)
         for perm in itertools.permutations(combo)
     )
+
+
+def twin_classes_only(g, classes) -> bool:
+    """True when every class of `classes` is a twin class of g, by the
+    definition: its vertices pairwise non-adjacent with equal neighbor sets,
+    or pairwise adjacent with equal closed neighbor sets."""
+    members = {}
+    for v in g.vertices:
+        members.setdefault(classes[v], []).append(v)
+    for cell in members.values():
+        pairs = list(itertools.combinations(cell, 2))
+        open_twins = all(
+            u not in g.neighbors(v) and g.neighbors(u) == g.neighbors(v) for u, v in pairs
+        )
+        closed_twins = all(
+            u in g.neighbors(v) and g.neighbors(u) | {u} == g.neighbors(v) | {v} for u, v in pairs
+        )
+        if not (open_twins or closed_twins):
+            return False
+    return True
+
+
+# the Petersen graph, labeled by its own minimum encoding: it has no twins and
+# no separating 1- or 2-sequence, so it takes the fallback, which labels it by
+# the identity
+PETERSEN = ColoredGraph(10, [(1, 8), (1, 9), (1, 10), (2, 6), (2, 7), (2, 10), (3, 5), (3, 7),
+                             (3, 9), (4, 5), (4, 6), (4, 8), (5, 10), (6, 9), (7, 8)])
+
+# small gadgets with no twins, as (order, edges, the vertices joined to a hub):
+# P4 joined at its middle, its ends or all of it, P5 at its middle or its ends,
+# C5 at one vertex or all of it, and a spider with two legs of length 2 at its
+# center. With the hub's pattern color each is symmetric and still has no
+# twin class, so below the hub it is ranked by a separator search of its own
+P4, P5 = [(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 3), (3, 4), (4, 5)]
+C5, SPIDER = P5 + [(1, 5)], [(1, 2), (2, 3), (1, 4), (4, 5)]
+GADGETS = ((4, P4, (2, 3)), (4, P4, (1, 4)), (4, P4, (1, 2, 3, 4)), (5, P5, (3,)),
+           (5, P5, (1, 5)), (5, C5, (1,)), (5, C5, (1, 2, 3, 4, 5)), (5, SPIDER, (1,)))
+
+
+def hub_graph(*gadgets):
+    """Vertex 1, the hub, joined to one copy of each gadget (see GADGETS)."""
+    edges, offset = [], 1
+    for order, inner, joined in gadgets:
+        edges += [(offset + u, offset + v) for u, v in inner]
+        edges += [(1, offset + v) for v in joined]
+        offset += order
+    return ColoredGraph(offset, edges)
+
+
+# a hub over two gadgets, of at most 10 vertices, within the bf cap
+HUB_GRAPHS = [hub_graph(a, b) for a, b in itertools.combinations_with_replacement(GADGETS, 2)
+              if a[0] + b[0] < 10]
 
 
 class TestIsSeparator:
@@ -289,23 +342,30 @@ class TestDecomposeFlaps:
         flaps = decompose_flaps(g, sequences[0], 1, run)
         assert flaps and not built
 
-    def test_each_flap_colored_once(self, monkeypatch):
-        # each flap takes its colors from the scope, whose colors were
-        # checked when it was built, plus its pattern color: no color set is
-        # checked again and no recolored scope is built
-        calls = []
-        set_colors = ColoredGraph._set_colors
-
-        def counting(self, colors):
-            calls.append(1)
-            set_colors(self, colors)
-
-        g = gen_family("partial_k_tree", n=9, k=2, seed=4)
-        run = SeparatorRun(2, BF)
-        seq = next(s for s in mark_separating_sequences(g, 2) if len(g.components(s)) >= 2)
-        monkeypatch.setattr(ColoredGraph, "_set_colors", counting)
-        flaps = decompose_flaps(g, seq, 1, run)
-        assert flaps and calls == []
+    def test_each_flap_colored_once(self):
+        # each flap vertex keeps its scope's colors and gains exactly one
+        # pattern color, c + the sum of 2^(i-1) over the sequence positions i
+        # it is adjacent to, with c = b + (d-1)W + r + 1; at depth 2 the
+        # scope is itself a flap
+        g = colored_copy(gen_family("partial_k_tree", n=9, k=2, seed=4), 9)
+        run = SeparatorRun(2, BF, g.top_color())
+        checked = {1: 0, 2: 0}
+        scopes = [(g, 1)]
+        for scope, depth in scopes:
+            seqs = mark_separating_sequences(scope, 2)
+            seq = next((s for s in seqs if len(scope.components(s)) >= 2), None)
+            if seq is None:
+                continue
+            c = run.color_base + (depth - 1) * run.block_width + run.r + 1
+            for flap in decompose_flaps(scope, seq, depth, run):
+                for v in flap.vertices:
+                    bits = sum(1 << i for i, s in enumerate(seq) if v in scope.neighbors(s))
+                    assert flap.color_set(v) == scope.color_set(v) | {c + bits}
+                    assert len(flap.color_set(v)) == len(scope.color_set(v)) + 1
+                    checked[depth] += 1
+                if depth == 1 and flap.n > 2:
+                    scopes.append((flap, 2))
+        assert checked[1] == g.n - 2 and checked[2] > 0
 
     def test_flap_partition_property(self):
         g = gen_family("partial_k_tree", n=9, k=2, seed=4)
@@ -370,12 +430,15 @@ class TestCanonSeparator:
             assert encode(apply_permutation(h, canon_separator(h, 1, BF))) == form
 
     def test_no_separator_fallback_is_identity(self):
-        k5 = complete_graph(5)
         stats = RunStats()
-        assert canon_separator(k5, 1, BF, stats=stats) == Labeling.identity(5)
+        assert canon_separator(PETERSEN, 1, BF, stats=stats) == Labeling.identity(10)
         assert stats.had_fallback
         message = "no separating 1-sequence at depth 1; minimum-encoding fallback"
-        assert stats.diagnostics == [Diagnostic(FALLBACK, 1, 5, message)]
+        assert stats.diagnostics == [Diagnostic(FALLBACK, 1, 10, message)]
+        # K5 is one class of twins, a leaf: it takes no fallback
+        stats = RunStats()
+        assert canon_separator(complete_graph(5), 1, BF, stats=stats) == Labeling.identity(5)
+        assert not stats.had_fallback and stats.diagnostics == []
 
     def test_had_fallback_reads_the_kind_not_the_text(self):
         stats = RunStats()
@@ -501,16 +564,33 @@ def test_no_separator_scope_form_invariant_regression(backend):
     assert find_isomorphism(g, h, 2, backend) is not None
 
 
-def test_fallback_counts_auto_limit_hits():
-    # K10 has no separating vertex; its minimum encoding ties every labeling
+def test_fallback_counts_auto_limit_hits(monkeypatch):
+    # the fallback hands its stats to minimum_encoding, which counts the
+    # automorphisms it drops once its store is full. Every labeling of K10
+    # ties, which fills the store of 64; but K10 is now a leaf, and no input
+    # within the cap that falls back fills it (the Petersen graph, the crown
+    # graph and K5 x K2 drop none), so the Petersen graph's fallback runs
+    # with a store of 8
+    stats = RunStats()
+    mincode.minimum_encoding(complete_graph(10), stats=stats)
+    assert stats.auto_limit_hits > 0
     stats = RunStats()
     canon_separator(complete_graph(10), 1, WL1, stats=stats)
+    assert not stats.had_fallback and stats.auto_limit_hits == 0
+    monkeypatch.setattr(mincode, "_AUTO_LIMIT", 8)
+    stats = RunStats()
+    canon_separator(PETERSEN, 1, WL1, stats=stats)
     assert stats.had_fallback and stats.auto_limit_hits > 0
 
 
 def test_no_separator_above_oracle_cap_refuses():
+    # C11 has no twins and no separating vertex
     with pytest.raises(OracleCapacityError):
-        canon_separator(complete_graph(11), 1, WL1)
+        canon_separator(gen_family("cycle", n=11), 1, WL1)
+    # K11 is one class of twins, a leaf at any size
+    stats = RunStats()
+    assert canon_separator(complete_graph(11), 1, WL1, stats=stats) == Labeling.identity(11)
+    assert not stats.had_fallback
 
 
 # relabelings of this graph got two forms under bf at r=1 while input color 2
@@ -565,10 +645,11 @@ def reference_root_choice(graph, r, backend):
 @pytest.mark.parametrize("backend", [BF, WL1], ids=["bf", "wl1"])
 def test_separator_choice_equals_reference_rule(backend):
     # a root of more than r vertices whose stable wl1 partition is discrete
-    # is a leaf, labeled in class order; any other root with a separating
-    # r-sequence labels the reference rule's choice first
-    checked = discrete = 0
-    for seed in range(16):
+    # is a leaf, labeled in class order, and so is one whose every class is
+    # a twin class, labeled in (class, vertex) order; any other root with a
+    # separating r-sequence labels the reference rule's choice first
+    checked = discrete = twins = 0
+    for seed in range(40):
         n = 6 + seed % 4
         for g, r in (
             (gen_family("tree", n=n, seed=seed), 1),
@@ -582,12 +663,17 @@ def test_separator_choice_equals_reference_rule(backend):
                 assert lab == Labeling(classes[v] for v in g.vertices), (seed, r)
                 discrete += 1
                 continue
+            if twin_classes_only(g, classes):
+                order = sorted(g.vertices, key=lambda v: (classes[v], v))
+                assert lab == Labeling.from_position_order(order), (seed, r)
+                twins += 1
+                continue
             if not mark_separating_sequences(g, r):
                 continue
             chosen = reference_root_choice(g, r, backend)
             assert [lab[v] for v in chosen] == list(range(1, r + 1)), (seed, r)
             checked += 1
-    assert checked >= 40 and discrete >= 10
+    assert checked >= 40 and discrete >= 10 and twins >= 10
     # roots of at most r vertices, plain and precolored: the chosen ordering
     # is the whole labeling
     small = 0
@@ -725,9 +811,9 @@ def test_each_scope_refined_from_scratch_at_most_once(monkeypatch, backend):
     monkeypatch.setattr(separator, "_least_record", recording_leaf)
     scratch = count_scratch_refinements(monkeypatch)
     cases = [(path_graph(7), 1), (gen_family("tree", n=10, seed=3), 1),
-             (gen_family("partial_k_tree", n=10, k=2, seed=4), 3),
+             (gen_family("partial_k_tree", n=10, k=2, seed=18), 3),
              (gen_family("tree", n=9, seed=1), 2),
-             (gen_family("partial_k_tree", n=9, k=2, seed=0), 3)]
+             (gen_family("partial_k_tree", n=9, k=2, seed=25), 3)]
     if backend is WL1:  # above the bf cap
         cases.append((gen_family("tree", n=200, seed=1), 1))
     sizes = set()
@@ -743,7 +829,8 @@ def test_each_scope_refined_from_scratch_at_most_once(monkeypatch, backend):
 
 def test_separator_recursion_never_calls_key_groups(monkeypatch):
     # a leaf of at most r vertices lists its orderings of least key itself,
-    # so only rigidity draws key groups; leaves of several vertices occur
+    # so only rigidity draws key groups; leaves of several vertices occur in
+    # the hub graphs
     sizes, leaves = [], []
     real, real_leaf = invariant.key_groups, separator._least_record
 
@@ -759,6 +846,9 @@ def test_separator_recursion_never_calls_key_groups(monkeypatch):
     monkeypatch.setattr(separator, "_least_record", recording_leaf)
     for make, r in BENCH_SCOPES:
         canon_separator(make(), r, WL1)
+    for g in HUB_GRAPHS:
+        for r in (2, 3):
+            canon_separator(g, r, WL1)
     assert sizes == [] and max(leaves) > 1
 
 
@@ -783,8 +873,8 @@ def test_wl1_ranks_every_flap_as_a_view_and_builds_no_graph(monkeypatch):
 @pytest.mark.parametrize("backend", [BF, WLK2], ids=["bf", "wlk2"])
 def test_a_view_builds_its_graph_at_most_once(monkeypatch, backend):
     # a backend other than wl1 codes a view as a graph, built on demand and
-    # kept: at most one per scope below the root. The 2-tree codes tied
-    # candidates of a flap, and the G(9, 0.3) falls back on a flap
+    # kept: at most one per scope below the root. The P4 joined at its
+    # middle codes its two tied candidates, and the C5 falls back
     views = []
     real = separator._rank_scope
 
@@ -794,8 +884,8 @@ def test_a_view_builds_its_graph_at_most_once(monkeypatch, backend):
 
     monkeypatch.setattr(separator, "_rank_scope", recording)
     built = count_graph_builds(monkeypatch)
-    for g, r in ((gen_family("k_tree", n=10, k=2, seed=2), 3),
-                 (gen_family("random_gnp", n=9, p=0.3, seed=4), 1)):
+    for g, r in ((hub_graph(GADGETS[0], GADGETS[0]), 1),
+                 (hub_graph(GADGETS[0], GADGETS[5]), 1)):
         views.clear()
         built.clear()
         canon_separator(g, r, backend)
@@ -846,11 +936,13 @@ def test_handed_down_flap_partitions_equal_their_own_refinement(monkeypatch, bac
         return n if backend is WL1 else min(n, 10)
 
     monkeypatch.setattr(separator, "_code_flaps", recording)
-    # a scope with a discrete partition codes no flaps, so the inputs are
-    # balanced trees and cycles, which stay non-discrete, and more seeds
+    # a leaf, discrete or of twin classes, codes no flaps, so the inputs are
+    # balanced trees, cycles and hub graphs, which have scopes that are not
+    # leaves, and more seeds
     cases = [(gen_family("balanced_tree", k=b, depth=d), r)
              for b, d, r in ((2, 2, 1), (3, 1, 1), (2, 3, 1), (3, 2, 1), (3, 2, 2))]
     cases += [(gen_family("cycle", n=n), 2) for n in (6, 9, 10, 16)]
+    cases += [(g, r) for g in HUB_GRAPHS for r in (1, 2, 3)]
     for g, r in cases:
         if g.n == size(g.n):  # within the bf cap
             for h in (g, colored_copy(g, g.n)):
@@ -906,6 +998,7 @@ def test_flaps_of_every_ranked_scope_match_two_step_induction(monkeypatch, backe
     cases = [(gen_family("balanced_tree", k=b, depth=d), r)
              for b, d, r in ((2, 2, 1), (3, 1, 1), (2, 3, 2), (3, 2, 3))]
     cases += [(gen_family("cycle", n=n), 2) for n in (6, 9, 10, 16)]
+    cases += [(g, r) for g in HUB_GRAPHS for r in (1, 2, 3)]
     for seed in range(12):
         cases += [(gen_family("tree", n=size(20), seed=seed), 1),
                   (gen_family("k_tree", n=size(14), k=2, seed=seed), 3),
@@ -994,6 +1087,7 @@ def test_restarts_that_split_nothing_are_skipped_with_equal_results(monkeypatch)
     monkeypatch.setattr(separator, "_code_flaps", recording)
     for seed in range(8):
         for g, r in ((gen_family("tree", n=30, seed=seed), 1),
+                     (gen_family("tree", n=200, seed=seed), 1),
                      (gen_family("k_tree", n=20, k=2, seed=seed), 3),
                      (gen_family("random_gnp", n=12, p=0.3, seed=seed), 2),
                      (gen_family("balanced_tree", k=2 + seed % 2, depth=3), 1 + seed % 3),
@@ -1003,6 +1097,10 @@ def test_restarts_that_split_nothing_are_skipped_with_equal_results(monkeypatch)
                     canon_separator(h, r, WL1)
                 except OracleCapacityError:
                     pass  # a no-separator scope above the cap; earlier calls count
+    for g in HUB_GRAPHS:
+        for h in (g, colored_copy(g, g.n)):
+            for r in (1, 2, 3):
+                canon_separator(h, r, WL1)
     monkeypatch.undo()
     refine = invariant.wl1_refine
     skipped = 0
@@ -1068,6 +1166,128 @@ def test_bounded_treewidth_classes_canonize_at_logarithmic_depth():
     assert time.perf_counter() - start < 10
 
 
+def test_every_graph_up_to_five_vertices_gets_one_form_per_class():
+    # the number of distinct forms of the labeled graphs on n vertices is the
+    # number of their isomorphism classes, under wl1 and bf at r = 1, 2, 3
+    for backend in (WL1, BF):
+        for r in (1, 2, 3):
+            forms = {}
+            for g in every_labeled_graph(5):
+                forms.setdefault(g.n, set()).add(
+                    encode(apply_permutation(g, canon_separator(g, r, backend))))
+            assert [len(forms[n]) for n in range(6)] == [1, 1, 2, 4, 11, 34], (backend, r)
+
+
+def complete_multipartite(*parts):
+    """The complete multipartite graph with parts of the given orders."""
+    ends = list(itertools.accumulate(parts))
+    part = {v: sum(v > end for end in ends) for v in range(1, ends[-1] + 1)}
+    return ColoredGraph(ends[-1], [(u, v) for u, v in itertools.combinations(part, 2)
+                                   if part[u] != part[v]])
+
+
+def with_twins(g, seed):
+    """g with a twin copy added for about a third of its vertices: a copy with
+    the same neighbors, or, by a coin, with the same closed neighbors."""
+    rng = Lcg64(seed)
+    edges, n = list(g.edges), g.n
+    for v in g.vertices:
+        if rng.chance(1 / 3):
+            n += 1
+            edges += [(u, n) for u in g.neighbors(v)]
+            if rng.chance(0.5):
+                edges.append((v, n))
+    return ColoredGraph(n, edges)
+
+
+def test_twin_rich_graphs_above_the_oracle_cap_get_one_form():
+    # complete multipartite graphs with parts of distinct orders are one
+    # leaf; G(n, p) with twin copies added has leaves of twin classes below
+    # the root. Each relabeled copy gets the graph's form, and
+    # find_isomorphism maps the graph onto it
+    graphs = [complete_multipartite(*parts) for parts in ((2, 3, 4, 5), (1, 4, 7), (3, 9))]
+    graphs += [complete_multipartite(5, 7), complete_multipartite(1, 11)]  # K_{a,b}
+    for seed in range(1, 9):
+        g = with_twins(gen_family("random_gnp", n=10 + seed, p=0.25, seed=seed), seed)
+        graphs += [g, colored_copy(g, seed)]
+    checked = 0
+    for g in graphs:
+        assert g.n > 10
+        for r in (1, 2, 3):
+            try:
+                assert_relabeled_copy_gets_the_form(g, r, g.n + r)
+            except OracleCapacityError:
+                continue  # a scope with a cell of non-twins and no separator
+            checked += 1
+    assert checked >= 40
+    k33 = ColoredGraph(6, K33_EDGES)
+    prism = ColoredGraph(6, [(u - 6, v - 6) for u, v in PRISM_EDGES])
+    for r in (1, 2, 3):
+        assert find_isomorphism(k33, prism, r, WL1) is None
+
+
+def test_flaps_of_equal_code_are_both_leaves_of_twin_classes_or_neither(monkeypatch):
+    # flaps of equal codes fill the same cells of one equitable partition,
+    # so one has only twin classes exactly when the other does: leaf and
+    # branch certificates are never compared
+    decomposed, coded = [], []
+    real_flaps, real_code = separator.decompose_flaps, separator._code_flaps
+
+    def recording_flaps(scope, sequence, depth, run):
+        flaps = real_flaps(scope, sequence, depth, run)
+        decomposed.append((flaps, run.r))
+        return flaps
+
+    def recording_code(*args):
+        coded.append(real_code(*args))
+        return coded[-1]
+
+    monkeypatch.setattr(separator, "decompose_flaps", recording_flaps)
+    monkeypatch.setattr(separator, "_code_flaps", recording_code)
+    graphs = [(g, r) for g in HUB_GRAPHS for r in (1, 2)]
+    graphs += [(hub_graph(gadget, gadget, gadget), 1) for gadget in GADGETS]
+    graphs += [(gen_family("balanced_tree", k=b, depth=d), r)
+               for b, d in ((2, 5), (3, 4)) for r in (1, 2)]
+    for seed in range(1, 9):
+        graphs += [(with_twins(gen_family("tree", n=30, seed=seed), seed), 1),
+                   (with_twins(gen_family("k_tree", n=16, k=2, seed=seed), seed), 3)]
+    for g, r in graphs:
+        for h in (g, colored_copy(g, g.n)):
+            try:
+                canon_separator(h, r, WL1)
+            except OracleCapacityError:
+                pass  # a no-separator scope above the cap; earlier flaps count
+    monkeypatch.undo()
+    assert len(decomposed) == len(coded)
+    kinds = Counter()  # pairs of flaps above r, by whether they are leaves
+    for (flaps, r), codes in zip(decomposed, coded):
+        for (a, (code_a, classes_a)), (b, (code_b, classes_b)) in itertools.combinations(
+            zip(flaps, codes), 2
+        ):
+            if code_a == code_b:
+                leaf_a = separator._class_leaf(classes_a, a.color_set, a.neighbors) is not None
+                leaf_b = separator._class_leaf(classes_b, b.color_set, b.neighbors) is not None
+                assert leaf_a == leaf_b
+                if a.n > r:
+                    kinds[leaf_a] += 1
+    assert kinds[True] >= 50 and kinds[False] >= 50
+
+
+def test_a_scope_with_one_cell_of_non_twins_branches():
+    # a hub over three twin leaves is one leaf; with a P4 joined at its
+    # middle added, the P4's middles form a cell that is not a twin class,
+    # so the root searches for a separator and its flaps recurse
+    star = hub_graph(*[(1, [], (1,))] * 3)
+    both = hub_graph(*[(1, [], (1,))] * 3, GADGETS[0], GADGETS[0])
+    for g, leaf in ((star, True), (both, False)):
+        classes, _ = wl1_refine(g)
+        assert (separator._class_leaf(classes, g.color_set, g.neighbors) is not None) == leaf
+        assert twin_classes_only(g, classes) == leaf
+        stats = RunStats()
+        canon_separator(g, 1, WL1, stats=stats)
+        assert (stats.max_depth == 1) == leaf
+
+
 class TestFindIsomorphism:
     def test_self(self, k4):
         mapping = find_isomorphism(k4, k4, 1, BF)
@@ -1130,11 +1350,12 @@ class TestFindIsomorphism:
 
     @pytest.mark.parametrize("backend", [WL1, BF], ids=["wl1", "bf"])
     def test_wl1_reject_answers_above_the_oracle_cap(self, backend, monkeypatch, tmp_path):
-        # K11 has no separating 1-sequence and is above the cap, so ranking
-        # it would raise OracleCapacityError; its root wl1 code differs from
-        # K11 minus an edge, which decides the pair before any scope is ranked
-        k11 = complete_graph(11)
-        minus = ColoredGraph(11, [e for e in k11.edges if e != (1, 2)])
+        # C11 has no twins and no separating 1-sequence and is above the cap,
+        # so ranking it would raise OracleCapacityError; its root wl1 code
+        # differs from C11 minus an edge, which decides the pair before any
+        # scope is ranked
+        c11 = gen_family("cycle", n=11)
+        minus = ColoredGraph(11, [e for e in c11.edges if e != (1, 2)])
 
         def refuse(*args):
             raise AssertionError("a scope was ranked")
@@ -1142,12 +1363,12 @@ class TestFindIsomorphism:
         with monkeypatch.context() as patch:
             patch.setattr(separator, "_rank_scope", refuse)
             stats = RunStats()
-            assert find_isomorphism(k11, minus, 1, backend, stats=stats) is None
+            assert find_isomorphism(c11, minus, 1, backend, stats=stats) is None
         assert (stats.invariant_calls, stats.diagnostics, stats.max_depth) == (0, [], 0)
         with pytest.raises(OracleCapacityError):
-            find_isomorphism(k11, k11, 1, backend)
-        a, b = tmp_path / "k11.cg", tmp_path / "minus.cg"
-        a.write_text(cg_dumps(k11))
+            find_isomorphism(c11, c11, 1, backend)
+        a, b = tmp_path / "c11.cg", tmp_path / "minus.cg"
+        a.write_text(cg_dumps(c11))
         b.write_text(cg_dumps(minus))
         name = "wl1" if backend is WL1 else "bf"
         proc = run_cli("iso", str(a), str(b), "--invariant", name, "--r", "1")
@@ -1241,10 +1462,10 @@ def test_backend_ranks_only_scopes_above_r(monkeypatch, base):
         return real(classes, *args)
 
     monkeypatch.setattr(separator, "_least_record", recording)
-    # inputs that stay non-discrete, so their scopes above r are not leaves,
+    # inputs with no twin class, so their scopes above r are not leaves,
     # and whose flaps of at most r vertices take their least record
-    cases = [(gen_family("balanced_tree", k=b, depth=d), r)
-             for b, d in ((2, 2), (3, 1), (4, 1)) for r in (1, 2, 3)]
+    cases = [(hub_graph(GADGETS[0], GADGETS[0]), 1)]
+    cases += [(g, r) for g in HUB_GRAPHS for r in (2, 3)]
     cases += [(gen_family("cycle", n=n), 3) for n in range(5, 11)]
     cases += [(gen_family("cycle", n=n), 2) for n in (5, 6, 7)]
     for g, r in cases:
