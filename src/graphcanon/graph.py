@@ -376,15 +376,23 @@ class CanonicalCode:
 
 
 def apply_permutation(graph: ColoredGraph, labeling: Labeling) -> ColoredGraph:
-    """Image graph: edge {s(u),s(v)} for every edge {u,v}; s(v) inherits v's colors."""
+    """Image graph: edge {s(u),s(v)} for every edge {u,v}; s(v) inherits v's colors.
+
+    A Labeling is a checked bijection, so the image is built from the mapped
+    parts with no edge or color checked again."""
     if labeling.n != graph.n:
         raise InvalidLabelingError(
             f"labeling has {labeling.n} entries for a graph on {graph.n} vertices"
         )
-    m = labeling.mapping
-    edges = ((m[u - 1], m[v - 1]) for u, v in graph.edges)
-    colors = {m[v - 1]: cs for v, cs in graph.colors.items()}
-    return ColoredGraph(graph.n, edges, colors)
+    n, m = graph.n, (0, *labeling.mapping)
+    source = [0] * (n + 1)
+    for v in range(1, n + 1):
+        source[m[v]] = v
+    image = m.__getitem__
+    adj = {s: frozenset(map(image, graph._adj[source[s]])) for s in range(1, n + 1)}
+    edges = frozenset([(a, b) if (a := m[u]) < (b := m[v]) else (b, a) for u, v in graph.edges])
+    colors = {m[v]: cs for v, cs in graph.colors.items()}
+    return ColoredGraph._from_parts(n, edges, adj, colors)
 
 
 def color_record(graph: ColoredGraph, v: int) -> bytes:

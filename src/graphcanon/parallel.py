@@ -47,6 +47,8 @@ class RunStats:
         self.auto_limit_hits = 0  # automorphisms mincode dropped at _AUTO_LIMIT
         self.wl_rounds: list[int] = []
         self.max_depth = 0
+        self.scopes_ranked = 0  # separator scopes ranked, leaves included
+        self.certificates_built = 0  # deferred separator certificates built
         self.diagnostics: list[Diagnostic] = []
         self.wall_ms: float | None = None
 
@@ -55,6 +57,12 @@ class RunStats:
 
     def count_auto_limit(self):
         self.auto_limit_hits += 1
+
+    def count_scope(self):
+        self.scopes_ranked += 1
+
+    def count_certificate(self):
+        self.certificates_built += 1
 
     def note_wl_rounds(self, rounds: int):
         self.wl_rounds.append(rounds)

@@ -42,6 +42,14 @@ colors carry their edges to the sequence; and isomorphic scopes get equal
 certificates. So a scope keeps the tried candidate of least certificate, and
 no tie is settled by vertex names: the form is canonical whether or not the
 invariant is complete (Gurevich 1997; McKay & Piperno, arXiv:1301.1493).
+A certificate only settles ties, so it is built only where two are
+compared: flaps of equal code, a tie class of more than one candidate, and
+iso's two roots. A twin-class leaf or a branch returns a memoized builder (a
+branch's builds its record, then its flaps' certificates); a scope of at
+most r vertices, or one ordered by its minimum encoding, returns the
+certificate that chose its order. Sorting flaps by code, and each run of
+equal code by certificate, is the stable (code, certificate) order, so
+orders and certificates are those of building them all.
 Certificates of different kinds are never compared: tied candidates all
 branch; flaps are compared only under equal codes, and two flaps of equal
 code fill the same cells of one equitable partition, so they have equal
@@ -292,15 +300,16 @@ def _code_flaps(scope: ColoredGraph, coloring, partition, comps, stats):
 
 
 def _class_leaf(classes: dict, color_set, neighbors):
-    """The order and certificate of a scope whose stable wl1 cells (classes)
-    are all twin classes, or None when one is not. A twin class is pairwise
-    non-adjacent with equal neighbor sets, or pairwise adjacent with equal
-    closed neighbor sets; the two kinds cannot mix in one class, so checking
-    consecutive vertices suffices. The order is the vertices by (class,
-    vertex), and the certificate the record in that order: each position's
-    colors (color_set(v)) as a sorted tuple, then the sorted position pairs
-    of its edges (neighbors(v), all inside the scope). O(n log n + m log m),
-    where _record's adjacency bits would take quadratic time."""
+    """The order of a scope whose stable wl1 cells (classes) are all twin
+    classes, and a function that builds its certificate, or None when one
+    cell is not a twin class. A twin class is pairwise non-adjacent with
+    equal neighbor sets, or pairwise adjacent with equal closed neighbor
+    sets; the two kinds cannot mix in one class, so checking consecutive
+    vertices suffices. The order is the vertices by (class, vertex), and the
+    certificate the record in that order: each position's colors
+    (color_set(v)) as a sorted tuple, then the sorted position pairs of its
+    edges (neighbors(v), all inside the scope). O(n log n + m log m), where
+    _record's adjacency bits would take quadratic time."""
     ranked = sorted([(c, v) for v, c in classes.items()])
     for (c, u), (d, v) in zip(ranked, ranked[1:]):
         if c == d:  # open twins share N(u); closed ones are adjacent and share N[u]
@@ -308,11 +317,33 @@ def _class_leaf(classes: dict, color_set, neighbors):
             if nu != nv and (v not in nu or nu - {v} != nv - {u}):
                 return None
     order = [v for _, v in ranked]
-    at = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i, v in enumerate(order):
-        edges.extend((i, j) for j in sorted(at[w] for w in neighbors(v)) if j > i)
-    return order, (tuple([tuple(sorted(color_set(v))) for v in order]), tuple(edges))
+
+    def record():
+        at = {v: i for i, v in enumerate(order)}
+        edges = [(i, j) for i, v in enumerate(order) for w in neighbors(v) if (j := at[w]) > i]
+        return tuple([tuple(sorted(color_set(v))) for v in order]), tuple(sorted(edges))
+
+    return order, record
+
+
+def _deferred(build, stats):
+    """A deferred certificate: a function that calls build() the first time
+    it is called, counted in stats.certificates_built, and returns that
+    result every time."""
+    built = []
+
+    def certificate():
+        if not built:
+            stats.count_certificate()
+            built.append(build())
+        return built[0]
+
+    return certificate
+
+
+def _built(certificate) -> tuple:
+    """A certificate as _rank_scope returned it, built if it was deferred."""
+    return certificate() if callable(certificate) else certificate
 
 
 def _rank_scope(scope, depth: int, run: SeparatorRun, stats, partition):
@@ -321,13 +352,17 @@ def _rank_scope(scope, depth: int, run: SeparatorRun, stats, partition):
     every flap of every size included, and `partition` is its stable wl1
     coloring. A scope of at most r vertices takes its least record
     (_least_record), and a larger one whose every cell is a twin class is a
-    leaf too (_class_leaf); any other ranks its flaps at depth + 1."""
+    leaf too (_class_leaf); any other ranks its flaps at depth + 1. A leaf
+    of twin classes or a branch defers its certificate (_deferred), which
+    _built builds where two are compared."""
+    stats.count_scope()
     stats.observe_depth(depth)
     if scope.n <= run.r:
         return _least_record(partition, scope.color_set, scope.neighbors)
     leaf = _class_leaf(partition, scope.color_set, scope.neighbors)
     if leaf is not None:
-        return leaf
+        order, record = leaf
+        return order, _deferred(record, stats)
     base = run.color_base + (depth - 1) * run.block_width
     sequences = mark_separating_sequences(scope, run.r, partition)
     if not sequences:
@@ -343,30 +378,44 @@ def _rank_scope(scope, depth: int, run: SeparatorRun, stats, partition):
         return order, ((), code)  # () sorts before every record
 
     def branch(chosen):
-        """The certificate of `chosen`, its flaps' orders in block order, and
-        the diagnostics its recursion made, taken out of stats. Every flap is
-        a View of the root (decompose_flaps), ranked as a scope of its own:
-        no graph is built."""
+        """The deferred certificate of `chosen`, its flaps' orders in block
+        order, and the diagnostics its recursion made, taken out of stats.
+        Every flap is a View of the root (decompose_flaps), ranked as a scope
+        of its own: no graph is built."""
         mark = len(stats.diagnostics)
         flaps = decompose_flaps(scope, chosen, depth, run)
         comps = [flap.vertices for flap in flaps]
         coded = _code_flaps(scope, _individualized(chosen, base), partition, comps, stats)
 
         def rank_flap(item):
-            """The flap's code and certificate, and its order in the scope."""
+            """The flap's code, certificate and order in the scope."""
             flap, (code, classes) = item
             order, cert = _rank_scope(flap, depth + 1, run, stats, classes)
-            return (code, cert), order
+            return code, cert, order
 
-        # in block order; the sort is stable, so equal keys keep flap order
-        ranked = sorted(parallel_map(rank_flap, zip(flaps, coded)), key=itemgetter(0))
-        certificate = (_record(chosen, scope.color_set, scope.neighbors), *(k for k, _ in ranked))
+        # in block order, (code, certificate), with equal keys in flap order:
+        # stable sorts by code, then by certificate within each run of equal code
+        by_code = sorted(parallel_map(rank_flap, zip(flaps, coded)), key=itemgetter(0))
+        ranked = []
+        for _, same in itertools.groupby(by_code, itemgetter(0)):
+            same = list(same)
+            if len(same) > 1:
+                same.sort(key=lambda item: _built(item[1]))
+            ranked.extend(same)
+
+        def certificate():
+            record = _record(chosen, scope.color_set, scope.neighbors)
+            return (record, *((code, _built(cert)) for code, cert, _ in ranked))
+
         found = stats.diagnostics[mark:]
         del stats.diagnostics[mark:]
-        return certificate, chosen, [order for _, order in ranked], found
+        return _deferred(certificate, stats), chosen, [order for _, _, order in ranked], found
 
     tied = next(run.backend.order(scope, [sequences], base, partition, stats))
-    certificate, chosen, blocks, found = min(map(branch, tied), key=itemgetter(0))
+    if len(tied) == 1:
+        certificate, chosen, blocks, found = branch(tied[0])
+    else:
+        certificate, chosen, blocks, found = min(map(branch, tied), key=lambda b: b[0]())
     stats.diagnostics.extend(found)  # the losing branches' are dropped
     order = list(chosen)
     for block in blocks:
@@ -390,10 +439,10 @@ def find_isomorphism(
     that differ prove the pair non-isomorphic, and None is returned with
     `stats` untouched (no invariant call, depth or diagnostic). Otherwise
     both roots are ranked as canon_separator ranks them, into an order and a
-    certificate. Equal root wl1 codes mean that both roots have only twin
-    classes, and so are both leaves, or neither. The root certificate is a
-    complete invariant (see the module docstring), so certificates that
-    differ also give None. Equal ones give the mapping from the two orders,
+    certificate, and both certificates are built, deferred or not (see the
+    module docstring). Equal root wl1 codes mean that both roots have only
+    twin classes, and so are both leaves, or neither. The root certificate
+    is a complete invariant, so certificates that differ also give None. Equal ones give the mapping from the two orders,
     checked edge by edge as a guard against bugs in the canonizer; a failed
     check is reported as an invariant diagnostic, with None returned. So only
     a pair that wl1 does not tell apart, and whose roots have a cell that is
@@ -411,7 +460,7 @@ def find_isomorphism(
         return None
     order_g, cert_g = _rank_scope(graph, 1, runs[0], stats, partition_g)
     order_h, cert_h = _rank_scope(other, 1, runs[1], stats, partition_h)
-    if cert_g != cert_h:
+    if _built(cert_g) != _built(cert_h):
         return None
     mapping = Labeling(order_h).compose(Labeling.from_position_order(order_g))
     m = (0, *mapping)  # checked on the two graphs, with no image built

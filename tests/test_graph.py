@@ -10,6 +10,7 @@ from graphcanon import (
     InvalidGraphError,
     InvalidLabelingError,
     Labeling,
+    Lcg64,
     OracleCapacityError,
     apply_permutation,
     are_isomorphic_bf,
@@ -127,6 +128,22 @@ class TestApplyPermutation:
         perm = data.draw(permutations_of(g.n))
         sigma = Labeling(perm)
         assert apply_permutation(apply_permutation(g, sigma), sigma.inverse()) == g
+
+    def test_image_equals_the_checked_construction(self):
+        # the image is built from parts, unchecked; every part equals the one
+        # ColoredGraph builds from the mapped edges and colors, n = 0 and 1 too
+        graphs = [ColoredGraph(0), ColoredGraph(1), ColoredGraph(1, [], {1: {0, 4}})]
+        graphs += seeded_small_graphs() + [gen_family("tree", n=60, seed=2)]
+        for i, g in enumerate(graphs):
+            perm = list(range(1, g.n + 1))
+            Lcg64(i).shuffle(perm)
+            m = (0, *perm)
+            checked = ColoredGraph(g.n, [(m[u], m[v]) for u, v in g.edges],
+                                   {m[v]: cs for v, cs in g.colors.items()})
+            image = apply_permutation(g, Labeling(perm))
+            assert image == checked and hash(image) == hash(checked)
+            assert (image.edges, image.colors) == (checked.edges, checked.colors)
+            assert list(image._adj.items()) == list(checked._adj.items())
 
 
 class TestBruteForceIsomorphism:

@@ -26,7 +26,13 @@ from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
 from graphcanon.mincode import minimum_encoding
 from graphcanon.parallel import FALLBACK, Diagnostic, RunStats
 
-from .conftest import count_scratch_refinements, path_graph
+from .conftest import (
+    antiprism,
+    count_scratch_refinements,
+    path_graph,
+    prism,
+    stacked_triangulation,
+)
 
 BF = BruteForceBackend()
 
@@ -359,34 +365,6 @@ class TestConsistencyCheck:
         for seed in (5, 6):
             g = gen_family("random_gnp", n=7, p=0.4, seed=seed)
             assert rigidity_consistency_check(g, 3).ok
-
-
-def prism(m: int) -> ColoredGraph:
-    """Two m-cycles 1..m and m+1..2m, joined by the rungs {i, m+i}."""
-    ring = [(i, i % m + 1) for i in range(1, m + 1)]
-    return ColoredGraph(2 * m, ring + [(u + m, v + m) for u, v in ring]
-                        + [(i, m + i) for i in range(1, m + 1)])
-
-
-def antiprism(m: int) -> ColoredGraph:
-    """Two m-cycles 1..m and m+1..2m, with i joined to m+i and to m+(i mod m)+1."""
-    ring = [(i, i % m + 1) for i in range(1, m + 1)]
-    return ColoredGraph(2 * m, ring + [(u + m, v + m) for u, v in ring]
-                        + [(i, m + i) for i in range(1, m + 1)]
-                        + [(i, m + i % m + 1) for i in range(1, m + 1)])
-
-
-def stacked_triangulation(n: int, seed: int) -> ColoredGraph:
-    """K4, then each vertex 5..n inserted into a face drawn by Lcg64(seed) and
-    joined to its three corners: a 3-connected planar graph of treewidth 3."""
-    rng = Lcg64(seed)
-    edges = list(itertools.combinations(range(1, 5), 2))
-    faces = list(itertools.combinations(range(1, 5), 3))
-    for v in range(5, n + 1):
-        a, b, c = faces.pop(rng.randrange(len(faces)))
-        edges += [(a, v), (b, v), (c, v)]
-        faces += [(a, b, v), (b, c, v), (a, c, v)]
-    return ColoredGraph(n, edges)
 
 
 def test_polyhedral_graphs_have_a_fixing_triple_under_wl1():

@@ -27,15 +27,19 @@ from graphcanon import (
 )
 from graphcanon import invariant, mincode, separator
 from graphcanon.graph import View
-from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend
+from graphcanon.invariant import BruteForceBackend, Wl1Backend, WlkBackend, _individualized
 from graphcanon.parallel import FALLBACK, INVARIANT_FAILURE, Diagnostic, RunStats
 from graphcanon.separator import SeparatorRun
 
 from .conftest import (
+    antiprism,
     complete_graph,
     count_scratch_refinements,
     every_labeled_graph,
+    mobius_ladder,
     path_graph,
+    prism,
+    stacked_triangulation,
 )
 from .test_cli import run_cli
 from .test_invariant import partition_of
@@ -1149,20 +1153,45 @@ def test_discrete_roots_above_the_oracle_cap_are_not_refused():
     assert discrete >= 70
 
 
+def subdivided(g):
+    """g with every edge {u, v} replaced by a path u, w, v through a new vertex
+    w, numbered after g's vertices in edge order."""
+    edges = []
+    for w, (u, v) in enumerate(sorted(g.edges), g.n + 1):
+        edges += [(u, w), (w, v)]
+    return ColoredGraph(g.n + len(g.edges), edges)
+
+
+def joined_copies(g):
+    """Two disjoint copies of g, the second shifted by n, and the edge {1, n + 1}."""
+    shifted = [(u + g.n, v + g.n) for u, v in g.edges]
+    return ColoredGraph(2 * g.n, [*g.edges, *shifted, (1, g.n + 1)])
+
+
 def test_bounded_treewidth_classes_canonize_at_logarithmic_depth():
     # the paper's classes at r = k + 1: trees, 2-trees, 3-trees and partial
-    # 2- and 3-trees
+    # 2- and 3-trees. Twin-class leaves stop most k-trees at the root, so
+    # subdivided 2-trees and pairs of k-trees joined by one edge, whose
+    # treewidth is still k, check the bound on inputs that recurse
     start = time.perf_counter()
-    for family, n, k, r in (("tree", 500, None, 1), ("k_tree", 120, 2, 3),
-                            ("k_tree", 60, 3, 4), ("partial_k_tree", 120, 2, 3),
-                            ("partial_k_tree", 60, 3, 4)):
-        for seed in (1, 2, 3):
-            g = gen_family(family, n=n, k=k, seed=seed)
-            stats = RunStats()
-            canon_separator(g, r, WL1, stats=stats)
-            assert not stats.had_fallback
-            assert stats.max_depth <= math.ceil(math.log2(n / r)) + 1
-            assert_relabeled_copy_gets_the_form(g, r, seed)
+    cases = [(gen_family(family, n=n, k=k, seed=seed), r, seed)
+             for family, n, k, r in (("tree", 500, None, 1), ("k_tree", 120, 2, 3),
+                                     ("k_tree", 60, 3, 4), ("partial_k_tree", 120, 2, 3),
+                                     ("partial_k_tree", 60, 3, 4))
+             for seed in (1, 2, 3)]
+    for seed in (1, 2, 3):
+        cases += [(subdivided(gen_family("k_tree", n=40, k=2, seed=seed)), 3, seed),
+                  (joined_copies(gen_family("k_tree", n=60, k=2, seed=seed)), 3, seed),
+                  (joined_copies(gen_family("k_tree", n=30, k=3, seed=seed)), 4, seed)]
+    deep = 0
+    for g, r, seed in cases:
+        stats = RunStats()
+        canon_separator(g, r, WL1, stats=stats)
+        assert not stats.had_fallback
+        assert stats.max_depth <= math.ceil(math.log2(g.n / r)) + 1
+        deep += stats.max_depth > 1
+        assert_relabeled_copy_gets_the_form(g, r, seed)
+    assert deep >= 12  # the trees and every subdivided or joined input
     assert time.perf_counter() - start < 10
 
 
@@ -1288,6 +1317,124 @@ def test_a_scope_with_one_cell_of_non_twins_branches():
         assert (stats.max_depth == 1) == leaf
 
 
+def eager_rank(scope, depth, run, partition):
+    """A scope's order, its certificate and the certificates the separator
+    defers in it, by the separator rule with every certificate built where it
+    is made: flaps sorted by (code, certificate) and the first least
+    certificate of the tie class kept. A twin-class leaf defers its own
+    certificate, and a branch that of each tied candidate, in tie-class
+    order. A reference for the deferred certificates."""
+    if scope.n <= run.r:
+        return (*separator._least_record(partition, scope.color_set, scope.neighbors), [])
+    if twin_classes_only(scope, partition):
+        order = sorted(scope.vertices, key=lambda v: (partition[v], v))
+        at = {v: i for i, v in enumerate(order)}
+        edges = sorted((at[u], at[v]) for u in order for v in scope.neighbors(u) if at[u] < at[v])
+        cert = tuple(tuple(sorted(scope.color_set(v))) for v in order), tuple(edges)
+        return order, cert, [cert]
+    base = run.color_base + (depth - 1) * run.block_width
+    sequences = mark_separating_sequences(scope, run.r, partition)
+    if not sequences:
+        code, labeling = mincode.minimum_encoding(scope.with_extra_colors({}))
+        return [scope.vertices[u - 1] for u in labeling.inverse()], ((), code), []
+    stats, candidates = RunStats(), []
+    for chosen in next(run.backend.order(scope, [sequences], base, partition, stats)):
+        flaps = decompose_flaps(scope, chosen, depth, run)
+        coded = separator._code_flaps(scope, _individualized(chosen, base), partition,
+                                      [flap.vertices for flap in flaps], stats)
+        ranked = []
+        for flap, (code, classes) in zip(flaps, coded):
+            order, cert, _ = eager_rank(flap, depth + 1, run, classes)
+            ranked.append(((code, cert), order))
+        ranked.sort(key=lambda item: item[0])
+        cert = (separator._record(chosen, scope.color_set, scope.neighbors),
+                *(key for key, _ in ranked))
+        candidates.append(([*chosen, *(v for _, order in ranked for v in order)], cert))
+    order, cert = min(candidates, key=lambda item: item[1])
+    return order, cert, [cert for _, cert in candidates]
+
+
+def test_certificates_are_built_only_where_two_are_compared(monkeypatch):
+    # twin-class leaves and branches defer their certificates: a discrete
+    # root builds none, a tree builds fewer than it has leaves of twin
+    # classes, and iso builds both roots'. Each scope ranked is counted in
+    # scopes_ranked, each certificate built in certificates_built, and every
+    # certificate built and every order equals the eager reference's
+    ranking, ranked, built, leaves = [], [], [], []
+    real_rank, real_deferred, real_leaf = (separator._rank_scope, separator._deferred,
+                                           separator._class_leaf)
+
+    def recording_rank(scope, depth, run, stats, partition):
+        ranking.append(((scope, depth, run, partition), itertools.count()))
+        order, cert = real_rank(scope, depth, run, stats, partition)
+        ranking.pop()
+        ranked.append((scope, depth, run, partition, order))
+        return order, cert
+
+    def recording_deferred(build, stats):
+        # the scope being ranked, and the index of this certificate in it
+        key, index = ranking[-1]
+        key = (*key, next(index))
+
+        def logged():
+            built.append((*key, build()))
+            return built[-1][-1]
+
+        return real_deferred(logged, stats)
+
+    def recording_leaf(*args):
+        leaf = real_leaf(*args)
+        leaves.append(leaf is not None)
+        return leaf
+
+    monkeypatch.setattr(separator, "_rank_scope", recording_rank)
+    monkeypatch.setattr(separator, "_deferred", recording_deferred)
+    monkeypatch.setattr(separator, "_class_leaf", recording_leaf)
+
+    def check(stats):
+        # every certificate built, and every order, against the reference
+        assert stats.scopes_ranked == len(ranked)
+        assert stats.certificates_built == len(built)
+        assert len({(id(scope), index) for scope, *_, index, _ in built}) == len(built)
+        reference = {}
+        for scope, depth, run, partition, *_ in ranked:
+            reference[scope] = eager_rank(scope, depth, run, partition)
+        for scope, *_, index, cert in built:
+            assert cert == reference[scope][2][index]
+        for scope, *_, order in ranked:
+            assert order == reference[scope][0]
+
+    def canon(g, r):
+        ranked.clear()
+        built.clear()
+        leaves.clear()
+        stats = RunStats()
+        canon_separator(g, r, WL1, stats=stats)
+        check(stats)
+        return stats
+
+    discrete = stacked_triangulation(60, 1)
+    assert len(set(wl1_refine(discrete)[0].values())) == discrete.n
+    assert canon(discrete, 4).certificates_built == 0
+    tree = gen_family("tree", n=200, seed=1)
+    assert 0 < canon(tree, 1).certificates_built < sum(leaves)
+    checked = 0
+    for g, r in ((prism(6), 4), (antiprism(6), 4), *((h, r) for h in HUB_GRAPHS for r in (1, 2))):
+        canon(g, r)
+        checked += len(built)
+    assert checked > 100
+
+    for g, r in ((tree, 1), (prism(6), 4)):
+        h = apply_permutation(g, relabelings(g.n, 1, seed=g.n)[0])
+        ranked.clear()
+        built.clear()
+        stats = RunStats()
+        assert apply_permutation(g, find_isomorphism(g, h, r, WL1, stats=stats)) == h
+        check(stats)
+        roots = [scope for scope, depth, *_ in built if depth == 1]
+        assert g in roots and h in roots
+
+
 class TestFindIsomorphism:
     def test_self(self, k4):
         mapping = find_isomorphism(k4, k4, 1, BF)
@@ -1374,6 +1521,22 @@ class TestFindIsomorphism:
         proc = run_cli("iso", str(a), str(b), "--invariant", name, "--r", "1")
         assert proc.returncode == 1
         assert proc.stdout == b"non-isomorphic\n"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_polyhedral_graphs_above_the_oracle_cap(self, seed):
+        # the paper's embedded class at r = 4: a relabeled prism, antiprism
+        # and stacked triangulation get a verified mapping, and the prism
+        # against a Moebius ladder gets None. Both are 3-regular on 12
+        # vertices, so wl1 gives them one code and the root certificates
+        # decide. The prisms have tied candidates and flaps of equal code
+        for g in (prism(6), antiprism(6), stacked_triangulation(60, seed)):
+            h = apply_permutation(g, relabelings(g.n, 1, seed)[0])
+            assert apply_permutation(g, find_isomorphism(g, h, 4, WL1)) == h
+        ladder = apply_permutation(mobius_ladder(6), relabelings(12, 1, seed)[0])
+        assert wl1_refine(prism(6))[1] == wl1_refine(ladder)[1]
+        stats = RunStats()
+        assert find_isomorphism(prism(6), ladder, 4, WL1, stats=stats) is None
+        assert stats.certificates_built >= 2 and not stats.diagnostics
 
     @pytest.mark.parametrize("backend", [BF, WL1], ids=["bf", "wl1"])
     @pytest.mark.parametrize("r", [1, 2])
